@@ -28,13 +28,33 @@ type slot_key =
   | Slot_adj_in of Ipv4.t * Prefix.t
   | Slot_adj_out of Ipv4.t * Prefix.t
 
+let compare_slot_key a b =
+  let rank = function
+    | Slot_loc _ -> 0
+    | Slot_adj_in _ -> 1
+    | Slot_adj_out _ -> 2
+  in
+  match (a, b) with
+  | Slot_loc p, Slot_loc q -> Prefix.compare p q
+  | Slot_adj_in (x, p), Slot_adj_in (y, q) | Slot_adj_out (x, p), Slot_adj_out (y, q) ->
+    let c = Int.compare x y in
+    if c <> 0 then c else Prefix.compare p q
+  | _, _ -> Int.compare (rank a) (rank b)
+
+(* persistent, so a clone shares the slot map with its origin *)
+module Slots = Map.Make (struct
+  type t = slot_key
+
+  let compare = compare_slot_key
+end)
+
 type t = {
   cfg : Config_types.t;
   peers : (Ipv4.t, peer_rt) Hashtbl.t;
   statics : Rib.Loc.entry Dice_inet.Prefix_trie.t;
   mutable loc : Rib.Loc.t;
   mutable updates : int;
-  slots : (slot_key, int) Hashtbl.t;
+  mutable slots : int Slots.t;
   mutable next_slot : int;
   mutable free_slots : int list;
 }
@@ -64,7 +84,7 @@ let create cfg =
       statics;
       loc = Prefix_trie.fold (fun p e acc -> Rib.Loc.set p e acc) statics Rib.Loc.empty;
       updates = 0;
-      slots = Hashtbl.create 256;
+      slots = Slots.empty;
       next_slot = 0;
       free_slots = [];
     }
@@ -492,19 +512,6 @@ let handle_bytes ?ctx t ~peer bytes =
 let magic = "DICERTR2"
 let slot_size = 256
 
-let compare_slot_key a b =
-  let rank = function
-    | Slot_loc _ -> 0
-    | Slot_adj_in _ -> 1
-    | Slot_adj_out _ -> 2
-  in
-  match (a, b) with
-  | Slot_loc p, Slot_loc q -> Prefix.compare p q
-  | Slot_adj_in (x, p), Slot_adj_in (y, q) | Slot_adj_out (x, p), Slot_adj_out (y, q) ->
-    let c = Int.compare x y in
-    if c <> 0 then c else Prefix.compare p q
-  | _, _ -> Int.compare (rank a) (rank b)
-
 let encode_prefix w p =
   Wbuf.u8 w (Prefix.len p);
   Wbuf.u32 w (Prefix.network p)
@@ -630,19 +637,13 @@ let serialize img =
   let live = Hashtbl.create (List.length entries) in
   List.iter (fun (k, payload) -> Hashtbl.replace live k payload) entries;
   (* free slots whose entry disappeared *)
-  let stale =
-    Hashtbl.fold (fun k idx acc -> if Hashtbl.mem live k then acc else (k, idx) :: acc)
-      t.slots []
-  in
-  List.iter
-    (fun (k, idx) ->
-      Hashtbl.remove t.slots k;
-      t.free_slots <- idx :: t.free_slots)
-    stale;
-  t.free_slots <- List.sort_uniq Int.compare t.free_slots;
+  let kept, stale = Slots.partition (fun k _ -> Hashtbl.mem live k) t.slots in
+  t.slots <- kept;
+  t.free_slots <-
+    List.sort_uniq Int.compare (Slots.fold (fun _ idx acc -> idx :: acc) stale t.free_slots);
   (* assign slots to new keys in deterministic order *)
   let fresh =
-    List.filter (fun (k, _) -> not (Hashtbl.mem t.slots k)) entries
+    List.filter (fun (k, _) -> not (Slots.mem k t.slots)) entries
     |> List.sort (fun (a, _) (b, _) -> compare_slot_key a b)
   in
   List.iter
@@ -650,9 +651,9 @@ let serialize img =
       match t.free_slots with
       | idx :: rest ->
         t.free_slots <- rest;
-        Hashtbl.replace t.slots k idx
+        t.slots <- Slots.add k idx t.slots
       | [] ->
-        Hashtbl.replace t.slots k t.next_slot;
+        t.slots <- Slots.add k t.next_slot t.slots;
         t.next_slot <- t.next_slot + 1)
     fresh;
   (* header *)
@@ -672,9 +673,8 @@ let serialize img =
   (* slot region + overflow *)
   let region = Bytes.make (header_room + (t.next_slot * slot_size)) '\000' in
   Bytes.blit header_bytes 0 region 0 (Bytes.length header_bytes);
-  let overflow = Wbuf.create () in
-  let n_overflow = ref 0 in
-  Hashtbl.iter
+  let spilled = ref [] in
+  Slots.iter
     (fun k idx ->
       let payload = Hashtbl.find live k in
       let off = header_room + (idx * slot_size) in
@@ -685,14 +685,17 @@ let serialize img =
       else begin
         (* oversized: mark the slot as spilled and store linearly *)
         Bytes.set region off '\002';
-        Wbuf.u16 overflow (Bytes.length payload);
-        Wbuf.bytes overflow payload;
-        incr n_overflow
+        spilled := (idx, payload) :: !spilled
       end)
     t.slots;
   let tail = Wbuf.create () in
-  Wbuf.u32 tail !n_overflow;
-  Wbuf.bytes tail (Wbuf.contents overflow);
+  Wbuf.u32 tail (List.length !spilled);
+  (* in ascending slot order, the order [restore] reads them back in *)
+  List.iter
+    (fun (_, payload) ->
+      Wbuf.u16 tail (Bytes.length payload);
+      Wbuf.bytes tail payload)
+    (List.sort (fun (a, _) (b, _) -> Int.compare a b) !spilled);
   Bytes.cat region (Wbuf.contents tail)
 
 let snapshot t = serialize (freeze t)
@@ -763,7 +766,7 @@ let restore cfg image =
     | '\001' ->
       let sr = Rbuf.of_bytes (Bytes.sub image (off + 1) (slot_size - 1)) in
       let key = decode_slot_payload t sr in
-      Hashtbl.replace t.slots key idx
+      t.slots <- Slots.add key idx t.slots
     | '\002' -> spilled := idx :: !spilled
     | c -> invalid_arg (Printf.sprintf "Router.restore: bad slot marker %C" c)
   done;
@@ -774,18 +777,14 @@ let restore cfg image =
   let n_overflow = Rbuf.u32 ~what:"overflow count" tail in
   if n_overflow <> List.length !spilled then
     invalid_arg "Router.restore: overflow count does not match spilled slots";
-  (* spilled slots were recorded in Hashtbl.iter order at snapshot time;
-     we cannot recover that order, so overflow entries carry their own
-     payloads and we re-associate by decoding in file order and assigning
-     the spilled slot indices in ascending order (both sides sort) *)
-  let spilled = List.sort Int.compare !spilled in
+  (* overflow entries were written in ascending slot order *)
   List.iter
     (fun idx ->
       let len = Rbuf.u16 ~what:"overflow len" tail in
       let body = Rbuf.sub tail len in
       let key = decode_slot_payload t body in
-      Hashtbl.replace t.slots key idx)
-    spilled;
+      t.slots <- Slots.add key idx t.slots)
+    (List.rev !spilled);
   t
 
 (* ------------------------------------------------------------------ *)
@@ -807,7 +806,7 @@ let clone t =
     statics = t.statics;
     loc = t.loc;
     updates = t.updates;
-    slots = Hashtbl.copy t.slots;
+    slots = t.slots;
     next_slot = t.next_slot;
     free_slots = t.free_slots;
   }

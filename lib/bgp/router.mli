@@ -110,8 +110,10 @@ val restore : Config_types.t -> bytes -> t
 val clone : t -> t
 (** An independent in-process copy sharing all RIB storage with the
     live router: the Loc-RIB, every Adj-RIB-In/Out and the static table
-    are persistent tries, so the clone holds references — O(#peers),
-    no serialization. Mutating either side copies only the touched
+    are persistent tries, and the snapshot slot map is a persistent map,
+    so the clone holds references — O(#peers), no serialization; the
+    argument is only read. Serializing the clone updates its own slot
+    map, so its snapshots keep the origin's slot layout. Mutating either side copies only the touched
     path ({!Dice_inet.Prefix_trie} structural sharing); everything else
     stays physically shared. This is the explorer-clone path: memory
     per clone is the write set, not the table. *)

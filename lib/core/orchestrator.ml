@@ -197,16 +197,12 @@ let dedup_faults faults =
       end)
     faults
 
-let explore_seed t ~checkpoint ~real ~pre_loc (s : seed) =
+let explore_seed t ~checkpoint ~base ~pre_loc (s : seed) =
   let ex = t.cfg.exploration in
   let sandbox = Dice_sim.Isolation.create ~name:("dice-" ^ s.tag) in
   (* the engine's accumulated in-memory state (constraints recorded across
      all runs so far): part of a forked explorer's footprint *)
   let meta_buf = Buffer.create 1024 in
-  (* a pristine clone image for (re)creating the exploration speaker *)
-  let base_image = Fork.checkpoint_image checkpoint in
-  let clone = ref (Speaker.restore_like t.live real base_image) in
-  let dirty = ref false in
   let faults = ref [] in
   let accepted = ref 0 in
   let rejected = ref 0 in
@@ -226,7 +222,7 @@ let explore_seed t ~checkpoint ~real ~pre_loc (s : seed) =
     | Some p -> p.Config_types.remote_as
     | None -> 0
   in
-  let run_outcome ctx (outcome : Speaker.import_outcome) =
+  let run_outcome clone ctx (outcome : Speaker.import_outcome) =
     (* the first run replays the observed input unmutated *)
     if !observed_accepted = None then observed_accepted := Some outcome.Speaker.accepted;
     Buffer.add_bytes meta_buf (engine_metadata ctx);
@@ -235,7 +231,6 @@ let explore_seed t ~checkpoint ~real ~pre_loc (s : seed) =
       outcome.Speaker.outputs;
     if outcome.Speaker.accepted then begin
       incr accepted;
-      dirty := true;
       (* sample clone footprints at exponentially spaced points so the
          growth of the explorer's workspace over the whole exploration is
          captured, not just the first few runs *)
@@ -244,7 +239,7 @@ let explore_seed t ~checkpoint ~real ~pre_loc (s : seed) =
         incr sampled;
         let fclone = Fork.spawn checkpoint in
         let final =
-          Bytes.cat (Speaker.snapshot !clone)
+          Bytes.cat (Speaker.snapshot clone)
             (Bytes.of_string (Buffer.contents meta_buf))
         in
         clone_stats := Fork.finish fclone ~final_image:final :: !clone_stats
@@ -256,15 +251,13 @@ let explore_seed t ~checkpoint ~real ~pre_loc (s : seed) =
       t.cfg.checkers
   in
   let program ctx =
-    if !dirty then begin
-      clone := Speaker.restore_like t.live real base_image;
-      dirty := false
-    end;
+    (* every run starts from its own copy of the checkpointed state *)
+    let clone = Speaker.clone base in
     match ex.mode with
     | Symbolize.Selective ->
       let cr = Symbolize.croute ctx ~tag:s.tag ~prefix:s.prefix ~route:s.route in
-      let outcome = Speaker.import_concolic ~ctx !clone ~peer:s.peer cr in
-      run_outcome ctx outcome
+      let outcome = Speaker.import_concolic ~ctx clone ~peer:s.peer cr in
+      run_outcome clone ctx outcome
     | Symbolize.Whole_message -> begin
       let observed =
         Msg.encode (Msg.Update { withdrawn = []; attrs = Route.to_attrs s.route; nlri = [ s.prefix ] })
@@ -284,8 +277,8 @@ let explore_seed t ~checkpoint ~real ~pre_loc (s : seed) =
             List.iter
               (fun prefix ->
                 let cr = Croute.of_route prefix route in
-                let outcome = Speaker.import_concolic ~ctx !clone ~peer:s.peer cr in
-                run_outcome ctx outcome)
+                let outcome = Speaker.import_concolic ~ctx clone ~peer:s.peer cr in
+                run_outcome clone ctx outcome)
               u.Msg.nlri
           | Error _ -> incr rejected
         end
@@ -325,7 +318,6 @@ let take n l =
 let explore t =
   let ex = t.cfg.exploration in
   let t0 = Unix.gettimeofday () in
-  let real = Speaker.realization t.live in
   (* only this runs on the live node's critical path: freezing the
      process image — the in-process equivalent of fork()'s page-table
      copy; the speaker decides how cheap it can make it *)
@@ -336,15 +328,18 @@ let explore t =
   let live_image = serialize_frozen () in
   let mgr = Fork.create ~page_size:ex.page_size () in
   let checkpoint = Fork.checkpoint mgr ~live_image in
+  (* the one exploration base, rebuilt from the checkpoint image; runs
+     only ever read it, through [Speaker.clone] *)
+  let base = Speaker.restore_like t.live (Speaker.realization t.live) live_image in
   let seeds = take ex.max_seeds t.rev_seeds in
   t.rev_seeds <- [];
-  (* Seed explorations are independent — each restores its own speaker from
-     the shared checkpoint image — so they can run on separate domains.
-     [Pool.map] keeps report order equal to seed order whatever the
-     schedule. *)
+  (* Seed explorations are independent — every run of every seed clones
+     the shared base, and cloning never mutates its argument — so they
+     can run on separate domains. [Pool.map] keeps report order equal to
+     seed order whatever the schedule. *)
   let seed_reports =
     Dice_exec.Pool.map ~jobs:(max 1 ex.jobs)
-      (fun s -> explore_seed t ~checkpoint ~real ~pre_loc s)
+      (fun s -> explore_seed t ~checkpoint ~base ~pre_loc s)
       seeds
   in
   let all_faults =

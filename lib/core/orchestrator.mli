@@ -12,9 +12,10 @@
       deployed system never sees exploration traffic), and
     + runs fault checkers against every explored outcome.
 
-    The live speaker is never mutated: every exploration run executes on
-    a restored clone (of the same implementation — cloning goes through
-    {!Speaker.restore_like}). *)
+    The live speaker is never mutated: {!explore} restores the
+    checkpoint image once into an exploration base (of the same
+    implementation, through {!Speaker.restore_like}), and every
+    exploration run executes on a {!Speaker.clone} of that base. *)
 
 open Dice_inet
 open Dice_bgp
@@ -47,7 +48,7 @@ type exploration = {
   clone_samples : int;  (** CoW-cost samples collected per seed *)
   jobs : int;
       (** worker domains for seed-level parallelism: each pending seed
-          explores on its own speaker restored from the shared
+          explores on clones of the one base restored from the
           checkpoint, [jobs] at a time. [1] (the default) keeps
           everything on the calling domain. Report order always equals
           seed order. *)

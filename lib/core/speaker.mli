@@ -169,7 +169,9 @@ module type S = sig
       (O(#peers)); mutable-table implementations copy buckets eagerly.
       Either way there is no serialization: this is the explorer-clone
       path, where per-clone memory should be the write set, not the
-      table. Feeding the clone must never affect the original. *)
+      table. Feeding the clone must never affect the original, and
+      cloning must not mutate its argument: the explorer clones one
+      restored base from several domains at once. *)
 end
 
 type instance = Inst : (module S with type t = 'a) * realization * 'a -> instance
@@ -219,16 +221,17 @@ val snapshot : instance -> bytes
 
 val clone : instance -> instance
 (** {!S.clone} under the same module and realization — how a probe or an
-    explorer takes a disposable copy of a live speaker without paying
-    for a snapshot round-trip. *)
+    explorer run takes a disposable copy of a speaker without paying for
+    a snapshot round-trip. *)
 
 val restore_like : instance -> realization -> bytes -> instance
 (** [restore_like inst real image] rebuilds from [image] with the {e
-    same implementation} as [inst] — how the probe path clones a
-    cooperating node (pass [realization inst] unchanged; nothing is
-    re-rendered), and how validation builds a shadow speaker under a
-    proposed realization, without either ever naming an
-    implementation. *)
+    same implementation} as [inst] — how the explorer builds its one
+    base per exploration from the checkpoint image (runs then clone the
+    base), how recovery rebuilds a crashed agent (pass [realization
+    inst] unchanged; nothing is re-rendered), and how validation builds
+    a shadow speaker under a proposed realization, without any of them
+    naming an implementation. *)
 
 val rerealize : instance -> source -> realization
 (** Push a {e new} source through this instance's dialect — what

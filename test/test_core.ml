@@ -395,6 +395,55 @@ let test_orchestrator_whole_message_mode () =
       (float_of_int invalid >= 0.5 *. float_of_int total)
   | _ -> Alcotest.fail "expected one seed report"
 
+(* Every run of every seed clones one shared exploration base, from as
+   many domains as there are jobs: the schedule must not show in the
+   report. *)
+let test_orchestrator_jobs_deterministic () =
+  let topo = testbed Dice_topology.Threerouter.Partially_correct in
+  let provider = Dice_topology.Threerouter.provider_router topo in
+  let explore jobs =
+    let cfg = explore_cfg ~runs:64 () in
+    let cfg =
+      { cfg with
+        Orchestrator.exploration = { cfg.Orchestrator.exploration with Orchestrator.jobs };
+      }
+    in
+    let dice = Orchestrator.create ~cfg (Speakers.bird provider) in
+    observe_customer dice;
+    Orchestrator.observe_update dice ~peer:tr_customer_addr
+      { Msg.withdrawn = [];
+        attrs = Route.to_attrs base_route;
+        nlri = [ p "198.51.100.0/22"; p "192.0.2.0/24"; p "203.0.113.128/25" ];
+      };
+    Orchestrator.explore dice
+  in
+  (* fault keys, then one line per seed: its work and every sampled
+     clone footprint *)
+  let summary (r : Orchestrator.report) =
+    List.map Checker.fault_key r.Orchestrator.faults
+    @ List.map
+        (fun (sr : Orchestrator.seed_report) ->
+          Printf.sprintf "executions=%d accepted=%d rejected=%d pages=%s"
+            sr.Orchestrator.explorer.Explorer.executions sr.Orchestrator.runs_accepted
+            sr.Orchestrator.runs_rejected
+            (String.concat ","
+               (List.map
+                  (fun (cs : Dice_checkpoint.Fork.clone_stats) ->
+                    Printf.sprintf "%d/%d" cs.Dice_checkpoint.Fork.unique
+                      cs.Dice_checkpoint.Fork.pages)
+                  sr.Orchestrator.clone_stats)))
+        r.Orchestrator.seed_reports
+  in
+  let sequential = explore 1 in
+  Alcotest.(check int) "four seeds explored" 4
+    (List.length sequential.Orchestrator.seed_reports);
+  Alcotest.(check bool) "some clone footprints sampled" true
+    (List.exists
+       (fun (sr : Orchestrator.seed_report) -> sr.Orchestrator.clone_stats <> [])
+       sequential.Orchestrator.seed_reports);
+  Alcotest.(check (list string)) "jobs=2 report equals jobs=1" (summary sequential)
+    (summary (explore 2))
+
 let suite =
   [ ("symbolize defaults", `Quick, test_symbolize_defaults);
     ("symbolize seed constraints", `Quick, test_symbolize_seed_constraints);
@@ -422,5 +471,6 @@ let suite =
     ("live router untouched", `Slow, test_orchestrator_live_router_untouched);
     ("exploration isolated", `Slow, test_orchestrator_isolation);
     ("clone stats sampled", `Slow, test_orchestrator_clone_stats);
-    ("whole-message mode", `Slow, test_orchestrator_whole_message_mode)
+    ("whole-message mode", `Slow, test_orchestrator_whole_message_mode);
+    ("exploration report independent of jobs", `Slow, test_orchestrator_jobs_deterministic)
   ]

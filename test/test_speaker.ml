@@ -104,17 +104,38 @@ let test_version_counter impl () =
   ignore (Speaker.feed sp ~peer:provider_side Msg.Keepalive);
   Alcotest.(check int) "keepalives do not" v1 (Speaker.updates_processed sp)
 
+(* 200 routes, every third with an 80-hop AS path: too large for one
+   snapshot slot, so a slot-based image spills it to its overflow region *)
+let feed_long_paths sp =
+  for i = 0 to 199 do
+    let hops = if i mod 3 = 0 then 80 else 2 in
+    let route =
+      Route.make ~origin:Attr.Igp
+        ~as_path:[ Asn.Path.Seq (64510 :: List.init (hops - 1) (fun h -> 65000 + h)) ]
+        ~next_hop:provider_side ()
+    in
+    let prefix = Prefix.make ((100 lsl 24) lor (i lsl 8)) 24 in
+    ignore
+      (Speaker.feed sp ~peer:provider_side
+         (Msg.Update { withdrawn = []; attrs = Route.to_attrs route; nlri = [ prefix ] }))
+  done
+
 let test_snapshot_restore_roundtrip impl () =
+  let check_roundtrip what sp =
+    let clone = Speaker.restore_like sp (Speaker.realization sp) (Speaker.snapshot sp) in
+    Alcotest.(check string) (what ^ ": clone keeps the implementation") impl (Speaker.id clone);
+    Alcotest.(check int) (what ^ ": clone keeps the version counter")
+      (Speaker.updates_processed sp) (Speaker.updates_processed clone);
+    Alcotest.(check int) (what ^ ": clone keeps the table")
+      (Rib.Loc.cardinal (Speaker.loc_rib sp))
+      (Rib.Loc.cardinal (Speaker.loc_rib clone));
+    Alcotest.(check bytes) (what ^ ": snapshot of the clone is byte-identical")
+      (Speaker.snapshot sp) (Speaker.snapshot clone)
+  in
+  check_roundtrip "incumbents" (upstream impl);
   let sp = upstream impl in
-  let clone = Speaker.restore_like sp (Speaker.realization sp) (Speaker.snapshot sp) in
-  Alcotest.(check string) "clone keeps the implementation" impl (Speaker.id clone);
-  Alcotest.(check int) "clone keeps the version counter"
-    (Speaker.updates_processed sp) (Speaker.updates_processed clone);
-  Alcotest.(check int) "clone keeps the table"
-    (Rib.Loc.cardinal (Speaker.loc_rib sp))
-    (Rib.Loc.cardinal (Speaker.loc_rib clone));
-  Alcotest.(check bytes) "snapshot of the clone is byte-identical"
-    (Speaker.snapshot sp) (Speaker.snapshot clone)
+  feed_long_paths sp;
+  check_roundtrip "long AS paths" sp
 
 let test_clone_isolation impl () =
   let sp = upstream impl in
@@ -140,8 +161,9 @@ let test_freeze_captures_the_moment impl () =
 
 let test_explores_as_live_node impl () =
   (* the full checkpoint–symbolize–explore loop with this implementation
-     as the live node: freeze, concolic import over restored clones,
-     checking — nothing in the orchestrator may assume BIRD *)
+     as the live node: freeze, concolic import over clones of the
+     restored base, checking — nothing in the orchestrator may assume
+     BIRD *)
   let sp = upstream impl in
   let cfg =
     { Orchestrator.default_cfg with
@@ -367,6 +389,72 @@ let prop_panel_origin_conflict_agreement =
              reference)
           rest)
 
+(* Oracle: an in-process clone is the same speaker as a snapshot
+   round-trip — the explorer's path against the checkpoint's. *)
+let fed_block b = Prefix.make ((100 lsl 24) lor (b lsl 16)) 16
+
+let arb_feed =
+  let open QCheck.Gen in
+  let update =
+    let* from = oneofl [ provider_side; collector ] in
+    let* prefix = map fed_block (int_bound 31) in
+    let* withdraw = bool in
+    let* hops = oneofl [ 1; 2; 80 ] in
+    let* origin_asn = oneofl [ 64512; 64888; 64999 ] in
+    let head = if from = provider_side then 64510 else 64701 in
+    let path = (head :: List.init (hops - 1) (fun h -> 65000 + h)) @ [ origin_asn ] in
+    let route =
+      Route.make ~origin:Attr.Igp ~as_path:[ Asn.Path.Seq path ] ~next_hop:from ()
+    in
+    return
+      ( from,
+        if withdraw then Msg.Update { withdrawn = [ prefix ]; attrs = []; nlri = [] }
+        else Msg.Update { withdrawn = []; attrs = Route.to_attrs route; nlri = [ prefix ] } )
+  in
+  let print (from, msg) =
+    Ipv4.to_string from ^ ":"
+    ^ (match msg with
+      | Msg.Update { withdrawn = [ q ]; nlri = []; _ } -> "-" ^ Prefix.to_string q
+      | Msg.Update u -> String.concat "," (List.map Prefix.to_string u.Msg.nlri)
+      | _ -> "<other>")
+  in
+  QCheck.make
+    (pair (list_size (int_bound 40) update) update)
+    ~print:(fun (feed, next) ->
+      String.concat " " (List.map print feed) ^ " then " ^ print next)
+
+let prop_clone_matches_restore impl =
+  let same_loc a b =
+    List.equal
+      (fun (q, (e : Rib.Loc.entry)) (q', (e' : Rib.Loc.entry)) ->
+        Prefix.equal q q' && Route.equal e.Rib.Loc.route e'.Rib.Loc.route
+        && e.Rib.Loc.src = e'.Rib.Loc.src)
+      (Rib.Loc.to_list (Speaker.loc_rib a))
+      (Rib.Loc.to_list (Speaker.loc_rib b))
+  in
+  let agree a b =
+    Bytes.equal (Speaker.snapshot a) (Speaker.snapshot b)
+    && same_loc a b
+    && Speaker.updates_processed a = Speaker.updates_processed b
+    && List.for_all
+         (fun q ->
+           List.for_all
+             (fun peer -> Speaker.learned_from a ~peer q = Speaker.learned_from b ~peer q)
+             [ provider_side; collector ])
+         (List.init 32 fed_block)
+  in
+  QCheck.Test.make ~name:(impl ^ ": clone agrees with snapshot/restore") ~count:100 arb_feed
+    (fun (feed, (from, msg)) ->
+      let sp = upstream impl in
+      List.iter (fun (peer, m) -> ignore (Speaker.feed sp ~peer m)) feed;
+      let before = Speaker.snapshot sp in
+      let cloned = Speaker.clone sp in
+      let restored = Speaker.restore_like sp (Speaker.realization sp) before in
+      let agree_now = agree cloned restored in
+      ignore (Speaker.feed cloned ~peer:from msg);
+      ignore (Speaker.feed restored ~peer:from msg);
+      agree_now && agree cloned restored && Bytes.equal before (Speaker.snapshot sp))
+
 let conformance impl =
   [ (impl ^ ": registry identity and config", `Quick, test_identity impl);
     (impl ^ ": feed installs with session attribution", `Quick,
@@ -384,6 +472,9 @@ let conformance impl =
 
 let suite =
   List.concat_map conformance Speakers.names
+  @ List.map
+      (fun impl -> QCheck_alcotest.to_alcotest (prop_clone_matches_restore impl))
+      Speakers.names
   @ [ QCheck_alcotest.to_alcotest prop_origin_conflict_agreement;
       QCheck_alcotest.to_alcotest prop_tie_free_full_agreement;
       QCheck_alcotest.to_alcotest prop_panel_origin_conflict_agreement
