@@ -423,6 +423,8 @@ let initial_advertisement ?ctx t (p : peer_rt) =
     t.loc []
 
 let flush_peer ?ctx t (p : peer_rt) =
+  (* a session drop changes the Loc-RIB: it is a new version *)
+  t.updates <- t.updates + 1;
   let prefixes = List.map fst (Rib.Adj.to_list p.adj_in) in
   p.adj_in <- Rib.Adj.empty;
   p.adj_out <- Rib.Adj.empty;

@@ -4,20 +4,105 @@ open Dice_concolic
 module Wbuf = Dice_wire.Wbuf
 module Rbuf = Dice_wire.Rbuf
 
+(* Copy-on-write hash tables. A clone shares its source's table and
+   freezes it: from then on nobody writes that table, and every holder
+   keeps its own writes in an overlay — the latest write per key, for
+   lookups, beside the ordered log of all of them. Iteration replays the
+   log onto a copy of the frozen table, so it visits entries in exactly
+   the order an eagerly copied table would. A table never cloned is
+   written in place: the live path pays one atomic read per write. An
+   overlay that outgrows its table is folded back into a private one, so
+   a write costs amortized O(1). Reads never write a table (Hashtbl.fold
+   would, to mark a traversal), so one table may be read and cloned from
+   several domains at once. *)
+module Cow : sig
+  type ('k, 'v) t
+
+  val create : int -> ('k, 'v) t
+  val find_opt : ('k, 'v) t -> 'k -> 'v option
+  val mem : ('k, 'v) t -> 'k -> bool
+  val replace : ('k, 'v) t -> 'k -> 'v -> unit
+  val remove : ('k, 'v) t -> 'k -> unit
+  val reset : ('k, 'v) t -> unit
+  val to_seq : ('k, 'v) t -> ('k * 'v) Seq.t
+  val clone : ('k, 'v) t -> ('k, 'v) t
+end = struct
+  type ('k, 'v) t = {
+    size : int;  (* the creation size, which [reset] returns to *)
+    mutable base : ('k, 'v) Hashtbl.t;
+    mutable frozen : bool Atomic.t;  (* one flag per [base], shared by its holders *)
+    over : ('k, 'v option) Hashtbl.t;  (* latest write per key since [base] froze *)
+    mutable log : ('k * 'v option) list;  (* every such write, newest first *)
+    mutable logged : int;
+  }
+
+  let create size =
+    { size;
+      base = Hashtbl.create size;
+      frozen = Atomic.make false;
+      over = Hashtbl.create 8;
+      log = [];
+      logged = 0;
+    }
+
+  let private_table t base =
+    t.base <- base;
+    t.frozen <- Atomic.make false;
+    Hashtbl.reset t.over;
+    t.log <- [];
+    t.logged <- 0
+
+  let materialize t =
+    let h = Hashtbl.copy t.base in
+    List.iter
+      (function k, Some v -> Hashtbl.replace h k v | k, None -> Hashtbl.remove h k)
+      (List.rev t.log);
+    h
+
+  let log_write t k w =
+    Hashtbl.replace t.over k w;
+    t.log <- (k, w) :: t.log;
+    t.logged <- t.logged + 1;
+    if t.logged > Hashtbl.length t.base then private_table t (materialize t)
+
+  let find_opt t k =
+    if t.logged = 0 then Hashtbl.find_opt t.base k
+    else
+      match Hashtbl.find_opt t.over k with
+      | Some w -> w
+      | None -> Hashtbl.find_opt t.base k
+
+  let mem t k = if t.logged = 0 then Hashtbl.mem t.base k else find_opt t k <> None
+  let replace t k v =
+    if Atomic.get t.frozen then log_write t k (Some v) else Hashtbl.replace t.base k v
+
+  let remove t k = if Atomic.get t.frozen then log_write t k None else Hashtbl.remove t.base k
+
+  let reset t =
+    if Atomic.get t.frozen then private_table t (Hashtbl.create t.size)
+    else Hashtbl.reset t.base
+
+  let to_seq t = Hashtbl.to_seq (if t.logged = 0 then t.base else materialize t)
+
+  let clone t =
+    Atomic.set t.frozen true;
+    { t with over = Hashtbl.copy t.over }
+end
+
 (* Zebra-style state: hash tables keyed by prefix, one bucket per table.
    No persistent structures, no slot bookkeeping — snapshots serialize
    eagerly (see the Checkpointing section). *)
 type peer_st = {
   pcfg : Config_types.peer_cfg;
   mutable up : bool;
-  rin : (Prefix.t, Route.t) Hashtbl.t;
-  rout : (Prefix.t, Route.t) Hashtbl.t;
+  rin : (Prefix.t, Route.t) Cow.t;
+  rout : (Prefix.t, Route.t) Cow.t;
 }
 
 type t = {
   cfg : Config_types.t;
   peers : (Ipv4.t, peer_st) Hashtbl.t;
-  main : (Prefix.t, Rib.Loc.entry) Hashtbl.t;
+  main : (Prefix.t, Rib.Loc.entry) Cow.t;
   statics : (Prefix.t * Rib.Loc.entry) list;
   mutable updates : int;
 }
@@ -40,13 +125,13 @@ let create cfg =
       cfg.Config_types.static_routes
   in
   let t =
-    { cfg; peers = Hashtbl.create 8; main = Hashtbl.create 64; statics; updates = 0 }
+    { cfg; peers = Hashtbl.create 8; main = Cow.create 64; statics; updates = 0 }
   in
-  List.iter (fun (p, e) -> Hashtbl.replace t.main p e) statics;
+  List.iter (fun (p, e) -> Cow.replace t.main p e) statics;
   List.iter
     (fun pcfg ->
       Hashtbl.replace t.peers pcfg.Config_types.neighbor
-        { pcfg; up = false; rin = Hashtbl.create 16; rout = Hashtbl.create 16 })
+        { pcfg; up = false; rin = Cow.create 16; rout = Cow.create 16 })
     cfg.Config_types.peers;
   t
 
@@ -119,7 +204,7 @@ let candidates t prefix =
   in
   Hashtbl.fold
     (fun _ p acc ->
-      match Hashtbl.find_opt p.rin prefix with
+      match Cow.find_opt p.rin prefix with
       | Some r -> (r, src_of_peer t p) :: acc
       | None -> acc)
     t.peers from_static
@@ -156,7 +241,7 @@ let export_blocked (dst : peer_st) local_as (route : Route.t) (src : Route.src) 
 let export_to ?(ctx = Engine.null ()) t (dst : peer_st) prefix best =
   if not dst.up then []
   else begin
-    let previously = Hashtbl.find_opt dst.rout prefix in
+    let previously = Cow.find_opt dst.rout prefix in
     let advert =
       match best with
       | None -> None
@@ -181,12 +266,12 @@ let export_to ?(ctx = Engine.null ()) t (dst : peer_st) prefix best =
     | None, None -> []
     | Some old, Some r when Route.equal old r -> []
     | _, Some r ->
-      Hashtbl.replace dst.rout prefix r;
+      Cow.replace dst.rout prefix r;
       [ ( dst.pcfg.Config_types.neighbor,
           Msg.Update { withdrawn = []; attrs = Route.to_attrs r; nlri = [ prefix ] } );
       ]
     | Some _, None ->
-      Hashtbl.remove dst.rout prefix;
+      Cow.remove dst.rout prefix;
       [ ( dst.pcfg.Config_types.neighbor,
           Msg.Update { withdrawn = [ prefix ]; attrs = []; nlri = [] } );
       ]
@@ -196,7 +281,7 @@ let export_all ?ctx t prefix best =
   Hashtbl.fold (fun _ dst acc -> acc @ export_to ?ctx t dst prefix best) t.peers []
 
 let reconsider ?ctx t prefix =
-  let old_best = Hashtbl.find_opt t.main prefix in
+  let old_best = Cow.find_opt t.main prefix in
   let new_best = decide t prefix in
   let changed =
     match (old_best, new_best) with
@@ -206,8 +291,8 @@ let reconsider ?ctx t prefix =
   in
   if changed then begin
     (match new_best with
-    | Some e -> Hashtbl.replace t.main prefix e
-    | None -> Hashtbl.remove t.main prefix);
+    | Some e -> Cow.replace t.main prefix e
+    | None -> Cow.remove t.main prefix);
     export_all ?ctx t prefix new_best
   end
   else []
@@ -223,14 +308,16 @@ let establish t ~peer =
     (* Prime the Adj-RIB-Out as an initial exchange would; the messages
        themselves are the session-establishment traffic the core never
        forwards, so they are not returned. *)
-    Hashtbl.iter (fun prefix entry -> ignore (export_to t p prefix (Some entry))) t.main
+    Seq.iter
+      (fun (prefix, entry) -> ignore (export_to t p prefix (Some entry)))
+      (Cow.to_seq t.main)
   end
 
 let session_clear ?ctx t (p : peer_st) =
-  let prefixes = Hashtbl.fold (fun prefix _ acc -> prefix :: acc) p.rin [] in
+  let prefixes = Seq.fold_left (fun acc (prefix, _) -> prefix :: acc) [] (Cow.to_seq p.rin) in
   p.up <- false;
-  Hashtbl.reset p.rin;
-  Hashtbl.reset p.rout;
+  Cow.reset p.rin;
+  Cow.reset p.rout;
   List.concat_map (fun prefix -> reconsider ?ctx t prefix) prefixes
 
 (* ------------------------------------------------------------------ *)
@@ -255,7 +342,7 @@ let import_concolic ~ctx t ~peer croute =
       accepted = false;
       installed = false;
       route = None;
-      previous_best = Hashtbl.find_opt t.main (Croute.prefix_of croute);
+      previous_best = Cow.find_opt t.main (Croute.prefix_of croute);
       outputs = [];
     }
   in
@@ -277,11 +364,11 @@ let import_concolic ~ctx t ~peer croute =
       (* No concolic pre-decision here: past the shared policy
          interpreter the pipeline runs concretely, as in a federated
          peer DiCE cannot instrument. *)
-      let previous_best = Hashtbl.find_opt t.main prefix in
-      Hashtbl.replace p.rin prefix route;
+      let previous_best = Cow.find_opt t.main prefix in
+      Cow.replace p.rin prefix route;
       let outputs = reconsider ~ctx t prefix in
       let installed =
-        match Hashtbl.find_opt t.main prefix with
+        match Cow.find_opt t.main prefix with
         | Some e -> e.Rib.Loc.src.Route.peer_addr = peer && Route.equal e.Rib.Loc.route route
         | None -> false
       in
@@ -292,8 +379,8 @@ let process_update ~ctx t ~peer (u : Msg.update) =
   let p = peer_exn t peer in
   let outs = ref [] in
   let withdraw prefix =
-    if Hashtbl.mem p.rin prefix then begin
-      Hashtbl.remove p.rin prefix;
+    if Cow.mem p.rin prefix then begin
+      Cow.remove p.rin prefix;
       outs := !outs @ reconsider ~ctx t prefix
     end
   in
@@ -325,26 +412,29 @@ let feed ?(ctx = Engine.null ()) t ~peer msg =
 (* State views                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let table t = Hashtbl.fold Rib.Loc.set t.main Rib.Loc.empty
-let best_route t prefix = Hashtbl.find_opt t.main prefix
+let table t =
+  Seq.fold_left (fun acc (p, e) -> Rib.Loc.set p e acc) Rib.Loc.empty (Cow.to_seq t.main)
+
+let best_route t prefix = Cow.find_opt t.main prefix
 
 let learned_from t ~peer prefix =
   match Hashtbl.find_opt t.peers peer with
-  | Some p -> Hashtbl.mem p.rin prefix
+  | Some p -> Cow.mem p.rin prefix
   | None -> false
 
 (* ------------------------------------------------------------------ *)
-(* Checkpointing: an eager linear image. Layout ("QRTRSNP1" magic):    *)
+(* Checkpointing: an eager linear image. Layout ("QRTRSNP2" magic):    *)
 (*   u32 updates                                                       *)
 (*   u16 #peers, each (sorted by address):                             *)
-(*     u32 address | u8 up | u16 #rin entries | u16 #rout entries      *)
-(*     then each entry: prefix (u8 len, u32 network) | u16 attr-bytes  *)
-(*     | encoded path attributes                                       *)
-(*   u16 #main-table entries, each: prefix | attrs | u32 src address   *)
+(*     u32 address | u8 up | u32 #rin entries, each: prefix (u8 len,   *)
+(*     u32 network) | u16 attr-bytes | encoded path attributes         *)
+(*     | u32 #rout entries, same shape                                 *)
+(*   u32 #main-table entries, each: prefix | attrs | u32 src address   *)
 (*     | u32 src ASN | u32 src router id | u8 ebgp                     *)
+(* All entries are sorted by prefix, so equal states give equal bytes. *)
 (* ------------------------------------------------------------------ *)
 
-let magic = "QRTRSNP1"
+let magic = "QRTRSNP2"
 
 let put_prefix b prefix =
   Wbuf.u8 b (Prefix.len prefix);
@@ -372,23 +462,21 @@ let get_route r =
     | Ok route -> route
   end
 
-let sorted_entries tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+let sorted_entries seq = List.sort (fun (a, _) (b, _) -> compare a b) (List.of_seq seq)
 
 let snapshot t =
   let b = Wbuf.create ~capacity:1024 () in
   Wbuf.string b magic;
   Wbuf.u32 b t.updates;
-  let peers = sorted_entries t.peers in
+  let peers = sorted_entries (Hashtbl.to_seq t.peers) in
   Wbuf.u16 b (List.length peers);
   List.iter
     (fun (addr, p) ->
       Wbuf.u32 b addr;
       Wbuf.u8 b (if p.up then 1 else 0);
       let put_adj tbl =
-        let entries = sorted_entries tbl in
-        Wbuf.u16 b (List.length entries);
+        let entries = sorted_entries (Cow.to_seq tbl) in
+        Wbuf.u32 b (List.length entries);
         List.iter
           (fun (prefix, route) ->
             put_prefix b prefix;
@@ -398,8 +486,8 @@ let snapshot t =
       put_adj p.rin;
       put_adj p.rout)
     peers;
-  let entries = sorted_entries t.main in
-  Wbuf.u16 b (List.length entries);
+  let entries = sorted_entries (Cow.to_seq t.main) in
+  Wbuf.u32 b (List.length entries);
   List.iter
     (fun (prefix, (e : Rib.Loc.entry)) ->
       put_prefix b prefix;
@@ -417,7 +505,7 @@ let restore cfg image =
     let m = Bytes.to_string (Rbuf.take ~what:"magic" r 8) in
     if m <> magic then invalid_arg "Qrouter.restore: not a Qrouter image";
     let t = create cfg in
-    Hashtbl.reset t.main;
+    Cow.reset t.main;
     t.updates <- Rbuf.u32 ~what:"updates" r;
     let n_peers = Rbuf.u16 ~what:"peer count" r in
     for _ = 1 to n_peers do
@@ -432,16 +520,16 @@ let restore cfg image =
       in
       p.up <- Rbuf.u8 ~what:"session flag" r = 1;
       let get_adj tbl =
-        let n = Rbuf.u16 ~what:"adj entry count" r in
+        let n = Rbuf.u32 ~what:"adj entry count" r in
         for _ = 1 to n do
           let prefix = get_prefix r in
-          Hashtbl.replace tbl prefix (get_route r)
+          Cow.replace tbl prefix (get_route r)
         done
       in
       get_adj p.rin;
       get_adj p.rout
     done;
-    let n_main = Rbuf.u16 ~what:"table entry count" r in
+    let n_main = Rbuf.u32 ~what:"table entry count" r in
     for _ = 1 to n_main do
       let prefix = get_prefix r in
       let route = get_route r in
@@ -449,21 +537,21 @@ let restore cfg image =
       let peer_asn = Rbuf.u32 ~what:"src asn" r in
       let peer_bgp_id = Rbuf.u32 ~what:"src router id" r in
       let ebgp = Rbuf.u8 ~what:"src ebgp flag" r = 1 in
-      Hashtbl.replace t.main prefix
+      Cow.replace t.main prefix
         { Rib.Loc.route; src = { Route.peer_addr; peer_asn; peer_bgp_id; ebgp } }
     done;
     t
   with Rbuf.Truncated what -> invalid_arg ("Qrouter.restore: truncated image: " ^ what)
 
 (* An independent in-process copy. Zebra-style state is mutable hash
-   tables, so — true to the heterogeneity — there is nothing persistent
-   to share: every bucket is copied eagerly. Still far cheaper than
-   snapshot + parse (no serialization, route values are shared). *)
+   tables, so — true to the heterogeneity — nothing is persistent; the
+   tables are copy-on-write instead, so a clone costs O(#peers +
+   overlay) and its memory is its write set. *)
 let clone t =
   let peers = Hashtbl.create (Hashtbl.length t.peers) in
-  Hashtbl.iter
-    (fun addr p ->
+  Seq.iter
+    (fun (addr, p) ->
       Hashtbl.replace peers addr
-        { pcfg = p.pcfg; up = p.up; rin = Hashtbl.copy p.rin; rout = Hashtbl.copy p.rout })
-    t.peers;
-  { cfg = t.cfg; peers; main = Hashtbl.copy t.main; statics = t.statics; updates = t.updates }
+        { pcfg = p.pcfg; up = p.up; rin = Cow.clone p.rin; rout = Cow.clone p.rout })
+    (Hashtbl.to_seq t.peers);
+  { cfg = t.cfg; peers; main = Cow.clone t.main; statics = t.statics; updates = t.updates }

@@ -13,6 +13,8 @@
     Zebra tradition of per-prefix [bgp_node] buckets — not the
     persistent maps and stable-slot tries of [Dice_bgp.Router]. The
     [loc_rib] view required by SPEAKER is materialized on demand, O(n).
+    The tables are copy-on-write (see {!clone}), so explorer and probe
+    clones cost their write set, not the table.
 
     {b Different decision tie-breaking order.} After local preference
     and local origination, Qrouter compares {e ORIGIN before AS-path
@@ -97,14 +99,25 @@ val updates_processed : t -> int
 
 val snapshot : t -> bytes
 (** Serialize sessions, per-peer RIBs and the main table. Qrouter's own
-    linear format — not interchangeable with [Dice_bgp.Router] images. *)
+    linear format ([QRTRSNP2]: 32-bit entry counts) — not
+    interchangeable with [Dice_bgp.Router] images. *)
 
 val restore : Config_types.t -> bytes -> t
 (** @raise Invalid_argument on a corrupt or alien image, or one
     mentioning peers absent from [cfg]. *)
 
 val clone : t -> t
-(** An independent in-process copy of the live router. Quagga-style
-    state is mutable hash tables, so buckets are copied eagerly (route
-    values stay shared) — no serialization, unlike {!snapshot} +
-    {!restore}. *)
+(** An independent in-process copy of the live router — no
+    serialization, unlike {!snapshot} + {!restore}. Quagga-style state
+    is mutable hash tables, and they are copy-on-write: the clone shares
+    each table with its source and marks it frozen (an [Atomic] flag, so
+    several domains may clone one router at once); nobody writes a
+    frozen table again. Each holder keeps its later writes in its own
+    overlay — the latest write per prefix, beside the ordered log of all
+    of them — which a clone copies, so cloning costs O(#peers + overlay).
+    A router never cloned writes its tables in place. An overlay that
+    outgrows its table is folded into a private copy, so writes cost
+    amortized O(1). Iteration replays the log onto a copy of the frozen
+    table: it visits entries in the order an eagerly copied table would,
+    so a clone emits exactly the messages its source would, in the same
+    order. Reads never write a shared table. *)

@@ -29,7 +29,7 @@
     - {b sessions}: administratively established, like the Quagga
       flavor (the FSM is not part of the narrow interface).
 
-    Checkpoints are eager linear images ("XRTRSNP1" magic) with the
+    Checkpoints are eager linear images ("XRTRSNP2" magic) with the
     same framing conventions as the Quagga flavor's; the two formats
     are mutually alien on purpose — {!restore} rejects foreign magic.  *)
 
@@ -78,7 +78,8 @@ val learned_from : t -> peer:Ipv4.t -> Prefix.t -> bool
 val updates_processed : t -> int
 
 val snapshot : t -> bytes
-(** Canonical eager image: equal states produce equal bytes. *)
+(** Canonical eager image, with 32-bit entry counts: equal states
+    produce equal bytes. *)
 
 val restore : Config_types.t -> bytes -> t
 (** @raise Invalid_argument on foreign magic, truncation, or an image

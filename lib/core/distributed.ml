@@ -41,8 +41,9 @@ type agent = {
      restart, exactly like a rebooted router keeps its address *)
   mutable transport : transport;
   health : Health.t;
-  lock : Mutex.t;  (* guards [cloned_version]; probes run on any worker domain *)
-  mutable cloned_version : int option;  (* live version last cloned against *)
+  lock : Mutex.t;  (* guards [view]; probes run on any worker domain *)
+  mutable view : (int * Rib.Loc.t) option;
+      (* the live version last cloned against, and its Loc-RIB view *)
   probes : int Atomic.t;
   checkpoints : int Atomic.t;
   clones : int Atomic.t;
@@ -66,7 +67,7 @@ let agent ~name ~addr ~explorer_addr transport =
     transport;
     health;
     lock = Mutex.create ();
-    cloned_version = None;
+    view = None;
     probes = Atomic.make 0;
     checkpoints = Atomic.make 0;
     clones = Atomic.make 0;
@@ -82,32 +83,35 @@ let agent_transport t = t.transport
 let agent_health t = t.health
 
 (* The remote node's explorer clone of its own state — taken by the
-   agent, never shipped to the exploring node. The clone shares all
-   persistent route storage with the live speaker (Prefix_trie
-   structural sharing), so taking one is O(#peers): no serialization,
-   no parse, per-clone memory is the probe's write set. The mutex
-   covers the read of the live speaker's mutable cells; [checkpoints]
-   keeps its historical meaning — distinct live-state versions cloned
-   against — so one burst of probes against an unchanged speaker still
-   counts as one logical checkpoint. *)
+   agent, never shipped to the exploring node — and the live Loc-RIB
+   view the probe compares against. The clone shares the live speaker's
+   route storage (persistent structures, or copy-on-write tables): no
+   serialization, no parse, per-clone memory is the probe's write set.
+   The view costs O(table) for a speaker that must materialize it, so
+   it is built once per live version and shared by every probe against
+   that version. The mutex covers the read of the live speaker's
+   mutable cells; [checkpoints] keeps its historical meaning — distinct
+   live-state versions cloned against — so one burst of probes against
+   an unchanged speaker still counts as one logical checkpoint. *)
 let take_clone t live =
-  Mutex.lock t.lock;
-  let version = Speaker.updates_processed live in
-  (match t.cloned_version with
-  | Some v when v = version -> ()
-  | Some _ | None ->
-    t.cloned_version <- Some version;
-    Atomic.incr t.checkpoints);
-  Atomic.incr t.clones;
-  let clone = Speaker.clone live in
-  Mutex.unlock t.lock;
-  clone
+  Mutex.protect t.lock (fun () ->
+      let version = Speaker.updates_processed live in
+      let pre =
+        match t.view with
+        | Some (v, pre) when v = version -> pre
+        | Some _ | None ->
+          let pre = Speaker.loc_rib live in
+          t.view <- Some (version, pre);
+          Atomic.incr t.checkpoints;
+          pre
+      in
+      Atomic.incr t.clones;
+      (Speaker.clone live, pre))
 
 let in_whitelist anycast prefix = List.exists (fun a -> Prefix.subsumes a prefix) anycast
 
 let probe_uncached t live ~from (u : Msg.update) msg =
-  let clone = take_clone t live in
-  let pre = Speaker.loc_rib clone in
+  let clone, pre = take_clone t live in
   let anycast = (Speaker.config live).Config_types.anycast in
   let announced_origin =
     match Route.of_attrs u.Msg.attrs with
@@ -368,9 +372,10 @@ module Recovery = struct
     let sp = Speaker.restore_like old (Speaker.realization old) image in
     List.iter (fun (peer, msg) -> ignore (Speaker.feed sp ~peer msg)) journal;
     t.agent.transport <- Local sp;
-    (* the recorded clone version belonged to the dead speaker *)
+    (* the recorded clone version and its view belonged to the dead
+       speaker *)
     Mutex.lock t.agent.lock;
-    t.agent.cloned_version <- None;
+    t.agent.view <- None;
     Mutex.unlock t.agent.lock;
     (* a rebuilt speaker can present an [updates_processed] counter that
        collides with a pre-crash version while holding different

@@ -85,9 +85,11 @@ val agent : name:string -> addr:Ipv4.t -> explorer_addr:Ipv4.t -> transport -> a
     exploring node reaches at [addr] and that knows the exploring node
     as its neighbor [explorer_addr]. With a [Local] transport each probe
     runs over a disposable {!Speaker.clone} of the live speaker — an
-    O(#peers) copy-on-write copy sharing all persistent route storage
-    ({!Dice_inet.Prefix_trie} structural sharing), so probing never
-    serializes the table; agents are domain-safe (cloning is mutexed,
+    O(#peers) copy sharing the live speaker's route storage (structural
+    sharing or copy-on-write tables), so probing never serializes the
+    table — and compares against the live {!Speaker.loc_rib} view, which
+    the agent builds once per live [updates_processed] version and
+    shares across probes. Agents are domain-safe (cloning is mutexed,
     counters are atomic). With a [Remote] transport the agent holds no
     speaker at all — the serving side does (see {!serve}). *)
 
@@ -182,7 +184,7 @@ val stats : agent -> stats
     {!crash_restart} (typically wired as the node's
     {!Dice_sim.Network.set_restart_hook}) rebuilds the speaker from
     snapshot + journal, swaps it into the agent in place, drops the
-    agent's checkpoint-image cache, epoch-invalidates its verdict cache
+    agent's cached Loc-RIB view, epoch-invalidates its verdict cache
     (a rebuilt speaker's [updates_processed] can collide with a
     pre-crash version), and bumps the incarnation that the server's
     next heartbeat announces. *)

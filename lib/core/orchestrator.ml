@@ -322,7 +322,6 @@ let explore t =
      process image — the in-process equivalent of fork()'s page-table
      copy; the speaker decides how cheap it can make it *)
   let serialize_frozen = Speaker.freeze t.live in
-  let pre_loc = Speaker.loc_rib t.live in
   let checkpoint_seconds = Unix.gettimeofday () -. t0 in
   (* from here on the explorer does the work: serialization included *)
   let live_image = serialize_frozen () in
@@ -331,6 +330,9 @@ let explore t =
   (* the one exploration base, rebuilt from the checkpoint image; runs
      only ever read it, through [Speaker.clone] *)
   let base = Speaker.restore_like t.live (Speaker.realization t.live) live_image in
+  (* the checkers' pre-exploration view: the base holds the live state,
+     so a speaker that materializes its view does it off the live node *)
+  let pre_loc = Speaker.loc_rib base in
   let seeds = take ex.max_seeds t.rev_seeds in
   t.rev_seeds <- [];
   (* Seed explorations are independent — every run of every seed clones

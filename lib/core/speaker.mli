@@ -132,7 +132,8 @@ module type S = sig
   val loc_rib : t -> Rib.Loc.t
   (** The selected best routes, as the shared view type — a {e view}:
       implementations with other internal layouts materialize it on
-      demand. *)
+      demand, in O(table). The probe path builds it once per
+      {!updates_processed} version, not once per probe. *)
 
   val best_route : t -> Prefix.t -> Rib.Loc.entry option
 
@@ -166,12 +167,17 @@ module type S = sig
       much storage as the implementation's data structures allow —
       implementations backed by persistent structures (tries, balanced
       maps) share all route storage and copy only mutable cells
-      (O(#peers)); mutable-table implementations copy buckets eagerly.
+      (O(#peers)); mutable-table implementations share their tables
+      copy-on-write (O(#peers) plus the writes not yet folded back).
       Either way there is no serialization: this is the explorer-clone
       path, where per-clone memory should be the write set, not the
       table. Feeding the clone must never affect the original, and
-      cloning must not mutate its argument: the explorer clones one
-      restored base from several domains at once. *)
+      cloning never changes what its argument observably does — its
+      outputs, views and snapshots stay what they would have been.
+      Cloning may mark storage it now shares, so that the argument's
+      later writes go elsewhere, but only in a domain-safe way: the
+      explorer and the probe path clone one speaker from several
+      domains at once. *)
 end
 
 type instance = Inst : (module S with type t = 'a) * realization * 'a -> instance

@@ -102,7 +102,13 @@ let test_version_counter impl () =
     (Speaker.updates_processed sp > v0);
   let v1 = Speaker.updates_processed sp in
   ignore (Speaker.feed sp ~peer:provider_side Msg.Keepalive);
-  Alcotest.(check int) "keepalives do not" v1 (Speaker.updates_processed sp)
+  Alcotest.(check int) "keepalives do not" v1 (Speaker.updates_processed sp);
+  (* a session drop withdraws routes: cached views keyed on the version
+     must see it *)
+  ignore
+    (Speaker.feed sp ~peer:collector
+       (Msg.Notification { Msg.code = 6; subcode = 4; data = Bytes.empty }));
+  Alcotest.(check bool) "a NOTIFICATION advances it" true (Speaker.updates_processed sp > v1)
 
 (* 200 routes, every third with an 80-hop AS path: too large for one
    snapshot slot, so a slot-based image spills it to its overflow region *)
@@ -136,6 +142,29 @@ let test_snapshot_restore_roundtrip impl () =
   let sp = upstream impl in
   feed_long_paths sp;
   check_roundtrip "long AS paths" sp
+
+(* More routes than a 16-bit count can hold: the paper's tables have
+   319,355 prefixes, so every image must count entries in 32 bits *)
+let test_large_snapshot impl () =
+  let sp = upstream impl in
+  let n = 66_000 and per_update = 500 in
+  let route =
+    Route.make ~origin:Attr.Igp ~as_path:[ Asn.Path.Seq [ 64701; 64999 ] ] ~next_hop:collector ()
+  in
+  for u = 0 to (n / per_update) - 1 do
+    let nlri =
+      List.init per_update (fun i -> Prefix.make ((20 lsl 24) lor ((u * per_update + i) lsl 8)) 24)
+    in
+    ignore
+      (Speaker.feed sp ~peer:collector
+         (Msg.Update { withdrawn = []; attrs = Route.to_attrs route; nlri }))
+  done;
+  let image = Speaker.snapshot sp in
+  let restored = Speaker.restore_like sp (Speaker.realization sp) image in
+  Alcotest.(check int) "every route restored" (n + List.length incumbents)
+    (Rib.Loc.cardinal (Speaker.loc_rib restored));
+  Alcotest.(check bool) "the image round-trips byte for byte" true
+    (Bytes.equal image (Speaker.snapshot restored))
 
 let test_clone_isolation impl () =
   let sp = upstream impl in
@@ -286,6 +315,72 @@ let test_wire_tap_no_new_frame_types impl () =
         Alcotest.failf "%s emitted a non-Probe_wire frame: %s" impl msg)
     !crossed
 
+(* ---- the agent's per-version Loc-RIB view ---- *)
+
+let conflict_of agent msg =
+  match Distributed.verdicts (Distributed.probe agent ~from:provider_side msg) with
+  | [ (_, v) ] -> v.Verdict.origin_conflict
+  | vs -> Alcotest.failf "expected one verdict, got %d" (List.length vs)
+
+let collector_route ?(origin_asn = 64888) prefixes =
+  Msg.Update
+    { withdrawn = [];
+      attrs =
+        Route.to_attrs
+          (Route.make ~origin:Attr.Igp
+             ~as_path:[ Asn.Path.Seq [ 64701; origin_asn ] ]
+             ~next_hop:collector ());
+      nlri = List.map p prefixes }
+
+let test_view_follows_live_feeds impl () =
+  let sp = upstream impl in
+  let agent = local_agent sp in
+  (* the incumbent 198.51.0.0/16 is originated by 64999, like the probe *)
+  let probe = announcement ~origin_asn:64999 [ "198.51.100.0/24" ] in
+  Alcotest.(check bool) "same origin: no conflict" false (conflict_of agent probe);
+  ignore (Speaker.feed sp ~peer:collector (collector_route [ "198.51.0.0/16" ]));
+  Alcotest.(check bool) "the covering route changed origin: conflict" true
+    (conflict_of agent probe)
+
+let test_view_dropped_on_restart impl () =
+  let sp = upstream impl in
+  let agent = local_agent sp in
+  let harness = Distributed.Recovery.attach agent in
+  (* fed past the journal: the rebuilt speaker will not hold this route,
+     and after one journaled update it presents the same version again *)
+  ignore (Speaker.feed sp ~peer:collector (collector_route [ "203.0.113.0/24" ]));
+  Alcotest.(check bool) "the unjournaled route conflicts" true
+    (conflict_of agent (announcement [ "203.0.113.0/25" ]));
+  Distributed.Recovery.crash_restart harness;
+  ignore (Distributed.Recovery.feed harness ~peer:collector (collector_route [ "100.99.0.0/16" ]));
+  Alcotest.(check int) "the rebuilt speaker reuses the version"
+    (Speaker.updates_processed sp)
+    (Distributed.Recovery.state_version harness);
+  Alcotest.(check bool) "the rebuilt speaker's view has no such route" false
+    (conflict_of agent (announcement [ "203.0.113.128/25" ]))
+
+(* Clones of one base taken from two domains at once are the clones
+   taken one after another: cloning marks the base's shared tables, and
+   that must be domain-safe. *)
+let test_concurrent_clones () =
+  let base = upstream "quagga" in
+  feed_long_paths base;
+  let before = Speaker.snapshot base in
+  let run lane =
+    List.init 50 (fun i ->
+        let c = Speaker.clone base in
+        let prefix = Printf.sprintf "100.%d.%d.0/24" (200 + lane) i in
+        ignore (Speaker.feed c ~peer:provider_side (announcement [ prefix ]));
+        ignore (Speaker.feed c ~peer:collector (collector_route [ prefix; "100.0.0.0/16" ]));
+        Speaker.snapshot c)
+  in
+  let lanes = List.map (fun lane -> Domain.spawn (fun () -> run lane)) [ 0; 1 ] in
+  let concurrent = List.map Domain.join lanes in
+  let sequential = List.map run [ 0; 1 ] in
+  Alcotest.(check bool) "concurrent clones equal sequential ones" true
+    (List.equal (List.equal Bytes.equal) concurrent sequential);
+  Alcotest.(check bytes) "the base is untouched" before (Speaker.snapshot base)
+
 (* ---- QCheck: how far may the implementations diverge? ---- *)
 
 let verdicts_for agent msg =
@@ -393,24 +488,22 @@ let prop_panel_origin_conflict_agreement =
    round-trip — the explorer's path against the checkpoint's. *)
 let fed_block b = Prefix.make ((100 lsl 24) lor (b lsl 16)) 16
 
-let arb_feed =
+let gen_update =
   let open QCheck.Gen in
-  let update =
-    let* from = oneofl [ provider_side; collector ] in
-    let* prefix = map fed_block (int_bound 31) in
-    let* withdraw = bool in
-    let* hops = oneofl [ 1; 2; 80 ] in
-    let* origin_asn = oneofl [ 64512; 64888; 64999 ] in
-    let head = if from = provider_side then 64510 else 64701 in
-    let path = (head :: List.init (hops - 1) (fun h -> 65000 + h)) @ [ origin_asn ] in
-    let route =
-      Route.make ~origin:Attr.Igp ~as_path:[ Asn.Path.Seq path ] ~next_hop:from ()
-    in
-    return
-      ( from,
-        if withdraw then Msg.Update { withdrawn = [ prefix ]; attrs = []; nlri = [] }
-        else Msg.Update { withdrawn = []; attrs = Route.to_attrs route; nlri = [ prefix ] } )
-  in
+  let* from = oneofl [ provider_side; collector ] in
+  let* prefix = map fed_block (int_bound 31) in
+  let* withdraw = bool in
+  let* hops = oneofl [ 1; 2; 80 ] in
+  let* origin_asn = oneofl [ 64512; 64888; 64999 ] in
+  let head = if from = provider_side then 64510 else 64701 in
+  let path = (head :: List.init (hops - 1) (fun h -> 65000 + h)) @ [ origin_asn ] in
+  let route = Route.make ~origin:Attr.Igp ~as_path:[ Asn.Path.Seq path ] ~next_hop:from () in
+  return
+    ( from,
+      if withdraw then Msg.Update { withdrawn = [ prefix ]; attrs = []; nlri = [] }
+      else Msg.Update { withdrawn = []; attrs = Route.to_attrs route; nlri = [ prefix ] } )
+
+let arb_feed =
   let print (from, msg) =
     Ipv4.to_string from ^ ":"
     ^ (match msg with
@@ -419,7 +512,7 @@ let arb_feed =
       | _ -> "<other>")
   in
   QCheck.make
-    (pair (list_size (int_bound 40) update) update)
+    QCheck.Gen.(pair (list_size (int_bound 40) gen_update) gen_update)
     ~print:(fun (feed, next) ->
       String.concat " " (List.map print feed) ^ " then " ^ print next)
 
@@ -455,27 +548,93 @@ let prop_clone_matches_restore impl =
       ignore (Speaker.feed restored ~peer:from msg);
       agree_now && agree cloned restored && Bytes.equal before (Speaker.snapshot sp))
 
+(* Oracle: a clone is the speaker it was taken from. One speaker is
+   never cloned; its twin is cloned, and both go on taking the same
+   messages as the clone (NOTIFICATIONs and re-established sessions
+   included) while a clone of the clone takes other messages. At every
+   step the twin and the clone must answer like the never-cloned
+   speaker, in the same order, and hold the same bytes. *)
+let arb_session_steps =
+  let open QCheck.Gen in
+  let step =
+    frequency
+      [ (8, map (fun (from, m) -> `Feed (from, m)) gen_update);
+        (1, map (fun from -> `Notify from) (oneofl [ provider_side; collector ]));
+        (1, map (fun from -> `Establish from) (oneofl [ provider_side; collector ]));
+      ]
+  in
+  let print = function
+    | `Feed (from, _) -> "feed:" ^ Ipv4.to_string from
+    | `Notify from -> "notify:" ^ Ipv4.to_string from
+    | `Establish from -> "establish:" ^ Ipv4.to_string from
+  in
+  QCheck.make
+    (triple (list_size (int_bound 20) step) (list_size (int_range 1 30) step)
+       (list_size (int_bound 30) step))
+    ~print:(fun (pre, seq, other) ->
+      String.concat " " (List.map print pre) ^ " | " ^ String.concat " " (List.map print seq)
+      ^ " | " ^ String.concat " " (List.map print other))
+
+let apply_step sp = function
+  | `Feed (from, m) -> Speaker.feed sp ~peer:from m
+  | `Notify from ->
+    Speaker.feed sp ~peer:from
+      (Msg.Notification { Msg.code = 6; subcode = 4; data = Bytes.empty })
+  | `Establish from ->
+    Speaker.establish sp ~peer:from;
+    []
+
+let prop_clone_matches_original impl =
+  QCheck.Test.make ~name:(impl ^ ": a clone matches its original") ~count:100
+    arb_session_steps (fun (pre, seq, other) ->
+      let never = upstream impl and twin = upstream impl in
+      List.iter (fun st -> ignore (apply_step never st); ignore (apply_step twin st)) pre;
+      let clone = Speaker.clone twin in
+      let stray = Speaker.clone clone in
+      let others = ref other in
+      List.for_all
+        (fun st ->
+          (match !others with
+          | o :: rest ->
+            ignore (apply_step stray o);
+            others := rest
+          | [] -> ());
+          let expected = apply_step never st in
+          let from_twin = apply_step twin st and from_clone = apply_step clone st in
+          let image = Speaker.snapshot never in
+          expected = from_twin && expected = from_clone
+          && Bytes.equal image (Speaker.snapshot twin)
+          && Bytes.equal image (Speaker.snapshot clone))
+        seq)
+
 let conformance impl =
   [ (impl ^ ": registry identity and config", `Quick, test_identity impl);
     (impl ^ ": feed installs with session attribution", `Quick,
       test_feed_and_attribution impl);
     (impl ^ ": update-version counter", `Quick, test_version_counter impl);
     (impl ^ ": snapshot/restore roundtrip", `Quick, test_snapshot_restore_roundtrip impl);
+    (impl ^ ": snapshot/restore past 65,535 routes", `Slow, test_large_snapshot impl);
     (impl ^ ": restored clones are isolated", `Quick, test_clone_isolation impl);
     (impl ^ ": freeze captures the moment", `Quick, test_freeze_captures_the_moment impl);
     (impl ^ ": serves as the explored live node", `Quick, test_explores_as_live_node impl);
     (impl ^ ": local/remote transport equivalence", `Quick,
       test_local_remote_equivalence impl);
     (impl ^ ": wire tap sees only Probe_wire frames", `Quick,
-      test_wire_tap_no_new_frame_types impl)
+      test_wire_tap_no_new_frame_types impl);
+    (impl ^ ": probe view follows live feeds", `Quick, test_view_follows_live_feeds impl);
+    (impl ^ ": probe view dropped on crash restart", `Quick,
+      test_view_dropped_on_restart impl)
   ]
 
 let suite =
   List.concat_map conformance Speakers.names
-  @ List.map
-      (fun impl -> QCheck_alcotest.to_alcotest (prop_clone_matches_restore impl))
+  @ List.concat_map
+      (fun impl ->
+        [ QCheck_alcotest.to_alcotest (prop_clone_matches_restore impl);
+          QCheck_alcotest.to_alcotest (prop_clone_matches_original impl) ])
       Speakers.names
-  @ [ QCheck_alcotest.to_alcotest prop_origin_conflict_agreement;
+  @ [ ("quagga: clones from two domains at once", `Quick, test_concurrent_clones);
+      QCheck_alcotest.to_alcotest prop_origin_conflict_agreement;
       QCheck_alcotest.to_alcotest prop_tie_free_full_agreement;
       QCheck_alcotest.to_alcotest prop_panel_origin_conflict_agreement
     ]
