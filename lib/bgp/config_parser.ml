@@ -176,21 +176,21 @@ and parse_cond st =
   end
   else a
 
-let rec parse_stmt ~filter_name st =
+let rec parse_stmt ~sites st =
   match peek st with
   | L.IDENT "if" -> begin
     advance st;
     let cond = parse_cond st in
     expect_ident st "then";
-    let then_ = parse_block ~filter_name st in
+    let then_ = parse_block ~sites st in
     let else_ =
       if peek st = L.IDENT "else" then begin
         advance st;
-        parse_block ~filter_name st
+        parse_block ~sites st
       end
       else []
     in
-    Filter.mk_if ~filter_name cond then_ else_
+    Filter.mk_if sites cond then_ else_
   end
   | L.IDENT "accept" ->
     advance st;
@@ -236,7 +236,7 @@ let rec parse_stmt ~filter_name st =
     Filter.Prepend n
   | t -> fail st (Printf.sprintf "expected a filter statement, got %s" (L.token_to_string t))
 
-and parse_block ~filter_name st =
+and parse_block ~sites st =
   if peek st = L.LBRACE then begin
     advance st;
     let rec go acc =
@@ -244,21 +244,22 @@ and parse_block ~filter_name st =
         advance st;
         List.rev acc
       end
-      else go (parse_stmt ~filter_name st :: acc)
+      else go (parse_stmt ~sites st :: acc)
     in
     go []
   end
-  else [ parse_stmt ~filter_name st ]
+  else [ parse_stmt ~sites st ]
 
 let parse_filter_decl st =
   let name = parse_name st "filter name" in
   expect st L.LBRACE "'{'";
+  let sites = Filter.sites name in
   let rec go acc =
     if peek st = L.RBRACE then begin
       advance st;
       List.rev acc
     end
-    else go (parse_stmt ~filter_name:name st :: acc)
+    else go (parse_stmt ~sites st :: acc)
   in
   { Filter.name; body = go [] }
 

@@ -58,19 +58,14 @@ type stmt =
 
 type t = { name : string; body : stmt list }
 
-let if_counters_lock = Mutex.create ()
-let if_counters : (string, int) Hashtbl.t = Hashtbl.create 16
+type sites = { filter_name : string; mutable next : int }
 
-let mk_if ~filter_name cond then_ else_ =
-  Mutex.lock if_counters_lock;
-  let k =
-    match Hashtbl.find_opt if_counters filter_name with
-    | Some k -> k
-    | None -> 0
-  in
-  Hashtbl.replace if_counters filter_name (k + 1);
-  Mutex.unlock if_counters_lock;
-  If { site = Printf.sprintf "filter:%s:if%d" filter_name k; cond; then_; else_ }
+let sites filter_name = { filter_name; next = 0 }
+
+let mk_if sites cond then_ else_ =
+  let k = sites.next in
+  sites.next <- k + 1;
+  If { site = Printf.sprintf "filter:%s:if%d" sites.filter_name k; cond; then_; else_ }
 
 let accept_all name = { name; body = [ Accept ] }
 let reject_all name = { name; body = [ Reject ] }

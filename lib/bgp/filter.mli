@@ -73,9 +73,18 @@ type stmt =
 
 type t = { name : string; body : stmt list }
 
-val mk_if : filter_name:string -> cond -> stmt list -> stmt list -> stmt
-(** Build an [If] with a fresh stable site name
-    ["filter:<name>:if<k>"]. *)
+type sites
+(** The site numbering of one filter while it is being built. *)
+
+val sites : string -> sites
+(** A numbering for the named filter, starting at 0. Each parse of a
+    filter takes a fresh one, so a filter's site names depend only on
+    its text, not on what the process parsed before. *)
+
+val mk_if : sites -> cond -> stmt list -> stmt list -> stmt
+(** Build an [If] named ["filter:<name>:if<k>"], [k] counting the
+    [If]s built with [sites] so far: a parser that builds a filter's
+    statements in a fixed order numbers them by position. *)
 
 val accept_all : string -> t
 val reject_all : string -> t

@@ -10,6 +10,7 @@ module Adj = struct
   let cardinal = Prefix_trie.cardinal
   let to_list = Prefix_trie.to_list
   let fold = Prefix_trie.fold
+  let fold_diff = Prefix_trie.fold_diff
 end
 
 module Loc = struct
@@ -27,6 +28,7 @@ module Loc = struct
   let cardinal = Prefix_trie.cardinal
   let to_list = Prefix_trie.to_list
   let fold = Prefix_trie.fold
+  let fold_diff = Prefix_trie.fold_diff
   let trie_nodes = Prefix_trie.node_count
   let shared_nodes = Prefix_trie.shared_nodes
 end

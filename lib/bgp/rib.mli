@@ -19,6 +19,11 @@ module Adj : sig
   val cardinal : t -> int
   val to_list : t -> (Prefix.t * Route.t) list
   val fold : (Prefix.t -> Route.t -> 'a -> 'a) -> t -> 'a -> 'a
+
+  val fold_diff :
+    (Prefix.t -> Route.t option -> Route.t option -> 'a -> 'a) -> t -> t -> 'a -> 'a
+  (** Bindings that differ between two tables, skipping physically
+      shared subtrees ({!Dice_inet.Prefix_trie.fold_diff}). *)
 end
 
 module Loc : sig
@@ -41,6 +46,10 @@ module Loc : sig
   val cardinal : t -> int
   val to_list : t -> (Prefix.t * entry) list
   val fold : (Prefix.t -> entry -> 'a -> 'a) -> t -> 'a -> 'a
+
+  val fold_diff :
+    (Prefix.t -> entry option -> entry option -> 'a -> 'a) -> t -> t -> 'a -> 'a
+  (** As {!Adj.fold_diff}. *)
 
   val trie_nodes : t -> int
   (** Physical trie nodes backing this table

@@ -48,6 +48,25 @@ module Slots = Map.Make (struct
   let compare = compare_slot_key
 end)
 
+(* maps keyed by slot index *)
+module Idx = Map.Make (Int)
+
+(* The image a restored router's slot map agrees with: the tries it
+   held, and the bytes they serialize to, kept as the image it was
+   restored from plus the slots written since. [serialize] diffs
+   against it and patches a copy of [rec_base] instead of re-encoding
+   every entry (see the Checkpointing section). Immutable, so the
+   clones that share it may read it from several domains. *)
+type recorded = {
+  rec_loc : Rib.Loc.t;
+  rec_peers : (Ipv4.t * Rib.Adj.t * Rib.Adj.t) list;  (* by address *)
+  rec_base : string;
+  rec_base_region : int;  (* header room plus slots of [rec_base] *)
+  rec_header_room : int;
+  rec_overlay : bytes option Idx.t;  (* slots written since [rec_base]: payload, or None if freed *)
+  rec_spilled : bytes Idx.t;  (* payloads of the overflow region *)
+}
+
 type t = {
   cfg : Config_types.t;
   peers : (Ipv4.t, peer_rt) Hashtbl.t;
@@ -57,6 +76,7 @@ type t = {
   mutable slots : int Slots.t;
   mutable next_slot : int;
   mutable free_slots : int list;
+  mutable recorded : recorded option;  (* None unless restored *)
 }
 
 let config t = t.cfg
@@ -87,6 +107,7 @@ let create cfg =
       slots = Slots.empty;
       next_slot = 0;
       free_slots = [];
+      recorded = None;
     }
   in
   List.iter
@@ -607,49 +628,36 @@ let freeze t =
       |> List.sort (fun (a, _, _, _, _) (b, _, _, _, _) -> compare a b);
   }
 
+let payload key route src_opt =
+  let w = Wbuf.create () in
+  encode_slot_payload w key route src_opt;
+  Wbuf.contents w
+
+let loc_payload prefix (e : Rib.Loc.entry) =
+  payload (Slot_loc prefix) e.Rib.Loc.route (Some e.Rib.Loc.src)
+
 (* current entries of all tables, with their serialized payloads *)
 let live_entries img =
   let out = ref [] in
   Rib.Loc.fold
-    (fun prefix e () ->
-      let w = Wbuf.create () in
-      encode_slot_payload w (Slot_loc prefix) e.Rib.Loc.route (Some e.Rib.Loc.src);
-      out := (Slot_loc prefix, Wbuf.contents w) :: !out)
+    (fun prefix e () -> out := (Slot_loc prefix, loc_payload prefix e) :: !out)
     img.img_loc ();
   List.iter
     (fun (addr, _, _, adj_in, adj_out) ->
-      Rib.Adj.fold
-        (fun prefix route () ->
-          let w = Wbuf.create () in
-          encode_slot_payload w (Slot_adj_in (addr, prefix)) route None;
-          out := (Slot_adj_in (addr, prefix), Wbuf.contents w) :: !out)
-        adj_in ();
-      Rib.Adj.fold
-        (fun prefix route () ->
-          let w = Wbuf.create () in
-          encode_slot_payload w (Slot_adj_out (addr, prefix)) route None;
-          out := (Slot_adj_out (addr, prefix), Wbuf.contents w) :: !out)
-        adj_out ())
+      let add key route = out := (key, payload key route None) :: !out in
+      Rib.Adj.fold (fun prefix route () -> add (Slot_adj_in (addr, prefix)) route) adj_in ();
+      Rib.Adj.fold (fun prefix route () -> add (Slot_adj_out (addr, prefix)) route) adj_out ())
     img.img_peers;
   !out
 
-let serialize img =
-  let t = img.of_router in
-  let entries = live_entries img in
-  let live = Hashtbl.create (List.length entries) in
-  List.iter (fun (k, payload) -> Hashtbl.replace live k payload) entries;
-  (* free slots whose entry disappeared *)
-  let kept, stale = Slots.partition (fun k _ -> Hashtbl.mem live k) t.slots in
-  t.slots <- kept;
-  t.free_slots <-
-    List.sort_uniq Int.compare (Slots.fold (fun _ idx acc -> idx :: acc) stale t.free_slots);
-  (* assign slots to new keys in deterministic order *)
-  let fresh =
-    List.filter (fun (k, _) -> not (Slots.mem k t.slots)) entries
-    |> List.sort (fun (a, _) (b, _) -> compare_slot_key a b)
-  in
+(* Free the slots of [stale] keys, then give each of [fresh] a slot in
+   [compare_slot_key] order: recycled slots lowest first, then new ones. *)
+let reassign_slots t ~stale ~fresh =
+  let stale_idx = List.map (fun k -> Slots.find k t.slots) stale in
+  t.slots <- List.fold_left (fun m k -> Slots.remove k m) t.slots stale;
+  t.free_slots <- List.sort_uniq Int.compare (stale_idx @ t.free_slots);
   List.iter
-    (fun (k, _) ->
+    (fun k ->
       match t.free_slots with
       | idx :: rest ->
         t.free_slots <- rest;
@@ -657,8 +665,10 @@ let serialize img =
       | [] ->
         t.slots <- Slots.add k t.next_slot t.slots;
         t.next_slot <- t.next_slot + 1)
-    fresh;
-  (* header *)
+    (List.sort compare_slot_key fresh);
+  stale_idx
+
+let header_of img next_slot =
   let header = Wbuf.create () in
   Wbuf.string header magic;
   Wbuf.u32 header img.img_updates;
@@ -669,36 +679,169 @@ let serialize img =
       Wbuf.u8 header (fsm_code fsm);
       Wbuf.u8 header (if as4 then 1 else 0))
     img.img_peers;
-  Wbuf.u32 header t.next_slot;
-  let header_bytes = Wbuf.contents header in
-  let header_room = ((Bytes.length header_bytes / slot_size) + 1) * slot_size in
-  (* slot region + overflow *)
-  let region = Bytes.make (header_room + (t.next_slot * slot_size)) '\000' in
-  Bytes.blit header_bytes 0 region 0 (Bytes.length header_bytes);
-  let spilled = ref [] in
-  Slots.iter
-    (fun k idx ->
-      let payload = Hashtbl.find live k in
-      let off = header_room + (idx * slot_size) in
-      if Bytes.length payload <= slot_size - 1 then begin
-        Bytes.set region off '\001';
-        Bytes.blit payload 0 region (off + 1) (Bytes.length payload)
-      end
-      else begin
-        (* oversized: mark the slot as spilled and store linearly *)
-        Bytes.set region off '\002';
-        spilled := (idx, payload) :: !spilled
-      end)
-    t.slots;
+  Wbuf.u32 header next_slot;
+  Wbuf.contents header
+
+let header_room_of header_len = ((header_len / slot_size) + 1) * slot_size
+
+let fits payload = Bytes.length payload <= slot_size - 1
+
+(* Write [payload] into slot [idx] of a zeroed slot region, or mark the
+   slot spilled: its payload goes to the overflow tail. *)
+let write_slot buf ~header_room idx payload =
+  let off = header_room + (idx * slot_size) in
+  if fits payload then begin
+    Bytes.set buf off '\001';
+    Bytes.blit payload 0 buf (off + 1) (Bytes.length payload)
+  end
+  else Bytes.set buf off '\002'
+
+let spill idx payload spilled =
+  if fits payload then Idx.remove idx spilled else Idx.add idx payload spilled
+
+(* the overflow region, in ascending slot order: the order [restore]
+   reads it back in *)
+let tail_of spilled =
   let tail = Wbuf.create () in
-  Wbuf.u32 tail (List.length !spilled);
-  (* in ascending slot order, the order [restore] reads them back in *)
-  List.iter
-    (fun (_, payload) ->
+  Wbuf.u32 tail (Idx.cardinal spilled);
+  Idx.iter
+    (fun _ payload ->
       Wbuf.u16 tail (Bytes.length payload);
       Wbuf.bytes tail payload)
-    (List.sort (fun (a, _) (b, _) -> Int.compare a b) !spilled);
-  Bytes.cat region (Wbuf.contents tail)
+    spilled;
+  Wbuf.contents tail
+
+(* a serialized image and where its parts lie *)
+type layout = { image : bytes; header_room : int; region : int; spilled : bytes Idx.t }
+
+(* Re-encode every entry: O(table). *)
+let encode_all img =
+  let t = img.of_router in
+  let entries = live_entries img in
+  let live = Hashtbl.create (List.length entries) in
+  List.iter (fun (k, payload) -> Hashtbl.replace live k payload) entries;
+  let stale =
+    Slots.fold (fun k _ acc -> if Hashtbl.mem live k then acc else k :: acc) t.slots []
+  in
+  let fresh =
+    List.filter_map (fun (k, _) -> if Slots.mem k t.slots then None else Some k) entries
+  in
+  ignore (reassign_slots t ~stale ~fresh);
+  let header = header_of img t.next_slot in
+  let header_room = header_room_of (Bytes.length header) in
+  let region = header_room + (t.next_slot * slot_size) in
+  let spilled = Slots.fold (fun k idx m -> spill idx (Hashtbl.find live k) m) t.slots Idx.empty in
+  let tail = tail_of spilled in
+  let image = Bytes.make (region + Bytes.length tail) '\000' in
+  Bytes.blit header 0 image 0 (Bytes.length header);
+  Slots.iter (fun k idx -> write_slot image ~header_room idx (Hashtbl.find live k)) t.slots;
+  Bytes.blit tail 0 image region (Bytes.length tail);
+  { image; header_room; region; spilled }
+
+(* Entries that differ between the recorded tries and [img]'s, with
+   their new payloads ([None]: removed). Physically shared subtrees are
+   skipped, so this is O(write set). *)
+let changed_entries r img =
+  let loc =
+    Rib.Loc.fold_diff
+      (fun prefix _ after acc -> (Slot_loc prefix, Option.map (loc_payload prefix) after) :: acc)
+      r.rec_loc img.img_loc []
+  in
+  let adj key_of before after acc =
+    Rib.Adj.fold_diff
+      (fun prefix _ after acc ->
+        let key = key_of prefix in
+        (key, Option.map (fun route -> payload key route None) after) :: acc)
+      before after acc
+  in
+  List.fold_left2
+    (fun acc (addr, r_in, r_out) (_, _, _, adj_in, adj_out) ->
+      adj (fun p -> Slot_adj_in (addr, p)) r_in adj_in acc
+      |> adj (fun p -> Slot_adj_out (addr, p)) r_out adj_out)
+    loc r.rec_peers img.img_peers
+
+(* Patch a copy of the recorded image: the header, every slot written
+   since its base, and the overflow tail. Slots are freed and assigned
+   exactly as [encode_all] would (the recorded keys are the slot map's
+   keys), so the bytes are the same. Returns the image and the new
+   record, which shares the base; [None] when the header room moved,
+   which would shift every slot. *)
+let patch_recorded img r ~peers =
+  let t = img.of_router in
+  let changes = changed_entries r img in
+  let stale = List.filter_map (fun (k, p) -> if Option.is_none p then Some k else None) changes in
+  let written = List.filter_map (fun (k, p) -> Option.map (fun p -> (k, p)) p) changes in
+  let fresh =
+    List.filter_map (fun (k, _) -> if Slots.mem k t.slots then None else Some k) written
+  in
+  let stale_idx = reassign_slots t ~stale ~fresh in
+  let header = header_of img t.next_slot in
+  let header_room = header_room_of (Bytes.length header) in
+  if header_room <> r.rec_header_room then None
+  else begin
+    let written = List.map (fun (k, payload) -> (Slots.find k t.slots, payload)) written in
+    let overlay = List.fold_left (fun m idx -> Idx.add idx None m) r.rec_overlay stale_idx in
+    let overlay = List.fold_left (fun m (idx, p) -> Idx.add idx (Some p) m) overlay written in
+    let spilled = List.fold_left (fun m idx -> Idx.remove idx m) r.rec_spilled stale_idx in
+    let spilled = List.fold_left (fun m (idx, payload) -> spill idx payload m) spilled written in
+    let region = header_room + (t.next_slot * slot_size) in
+    let tail = tail_of spilled in
+    (* the header has the base's length (same peers); the region only
+       grows, and every slot past the base's was assigned since, so the
+       overlay covers it *)
+    let image = Bytes.create (region + Bytes.length tail) in
+    Bytes.blit_string r.rec_base 0 image 0 r.rec_base_region;
+    Bytes.blit header 0 image 0 (Bytes.length header);
+    Idx.iter
+      (fun idx payload ->
+        Bytes.fill image (header_room + (idx * slot_size)) slot_size '\000';
+        Option.iter (write_slot image ~header_room idx) payload)
+      overlay;
+    Bytes.blit tail 0 image region (Bytes.length tail);
+    Some
+      ( image,
+        { r with
+          rec_loc = img.img_loc;
+          rec_peers = peers;
+          rec_overlay = overlay;
+          rec_spilled = spilled;
+        } )
+  end
+
+(* a record whose base is [l]'s image (a private copy) *)
+let record ~loc ~peers l =
+  {
+    rec_loc = loc;
+    rec_peers = peers;
+    rec_base = Bytes.to_string l.image;
+    rec_base_region = l.region;
+    rec_header_room = l.header_room;
+    rec_overlay = Idx.empty;
+    rec_spilled = l.spilled;
+  }
+
+let serialize_with ~patch img =
+  let t = img.of_router in
+  let peers = List.map (fun (a, _, _, i, o) -> (a, i, o)) img.img_peers in
+  let addrs = List.map (fun (a, _, _) -> a) in
+  let patched =
+    match t.recorded with
+    | Some r when patch && addrs r.rec_peers = addrs peers -> patch_recorded img r ~peers
+    | Some _ | None -> None
+  in
+  match patched with
+  | Some (image, r) ->
+    t.recorded <- Some r;
+    image
+  | None ->
+    let l = encode_all img in
+    (* a router that was never restored keeps no image: the live speaker
+       pays nothing for this *)
+    if Option.is_some t.recorded then t.recorded <- Some (record ~loc:img.img_loc ~peers l);
+    l.image
+
+let serialize = serialize_with ~patch:true
+let serialize_full = serialize_with ~patch:false
 
 let snapshot t = serialize (freeze t)
 
@@ -755,8 +898,7 @@ let restore cfg image =
            (Ipv4.to_string addr))
   done;
   let n_slots = Rbuf.u32 ~what:"slot count" r in
-  let header_len = Rbuf.pos r in
-  let header_room = ((header_len / slot_size) + 1) * slot_size in
+  let header_room = header_room_of (Rbuf.pos r) in
   if Bytes.length image < header_room + (n_slots * slot_size) + 4 then
     invalid_arg "Router.restore: image shorter than its slot region";
   t.next_slot <- n_slots;
@@ -780,13 +922,23 @@ let restore cfg image =
   if n_overflow <> List.length !spilled then
     invalid_arg "Router.restore: overflow count does not match spilled slots";
   (* overflow entries were written in ascending slot order *)
-  List.iter
-    (fun idx ->
-      let len = Rbuf.u16 ~what:"overflow len" tail in
-      let body = Rbuf.sub tail len in
-      let key = decode_slot_payload t body in
-      t.slots <- Slots.add key idx t.slots)
-    (List.rev !spilled);
+  let spilled =
+    List.fold_left
+      (fun m idx ->
+        let len = Rbuf.u16 ~what:"overflow len" tail in
+        let payload = Rbuf.take ~what:"overflow entry" tail len in
+        let key = decode_slot_payload t (Rbuf.of_bytes payload) in
+        t.slots <- Slots.add key idx t.slots;
+        Idx.add idx payload m)
+      Idx.empty (List.rev !spilled)
+  in
+  t.recorded <-
+    Some
+      (record ~loc:t.loc
+         ~peers:
+           (Hashtbl.fold (fun addr p acc -> (addr, p.adj_in, p.adj_out) :: acc) t.peers []
+           |> List.sort (fun (a, _, _) (b, _, _) -> compare a b))
+         { image; header_room; region = tail_off; spilled });
   t
 
 (* ------------------------------------------------------------------ *)
@@ -811,4 +963,5 @@ let clone t =
     slots = t.slots;
     next_slot = t.next_slot;
     free_slots = t.free_slots;
+    recorded = t.recorded;
   }

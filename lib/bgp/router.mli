@@ -98,22 +98,49 @@ val serialize : image -> bytes
 (** Serialize a frozen image deterministically (typically off the live
     node's critical path). The byte layout is slot-stable: unchanged
     entries occupy the same offsets across snapshots of the same
-    router. *)
+    router.
+
+    Cost. A router that {!restore} built (and every {!clone} of it)
+    holds a {e recorded image}: the tries it last serialized or
+    restored, the image it was restored from (a private copy), the
+    payloads of the slots written since, and those of the overflow
+    region. Serializing such a router diffs its tries against the
+    recorded ones, skipping physically shared subtrees, re-encodes only
+    the entries added, removed or changed, and patches a copy of the
+    restored image (header, slots written since the restore, overflow
+    tail). That is one copy of the image plus O(writes since the
+    restore), instead of O(table) encoding. The bytes are those
+    {!serialize_full} gives, provided the restored image came from
+    [serialize]: the bytes of untouched entries are reused as they are.
+    A router that was never restored keeps no recorded image and
+    always takes the full path, so the live speaker's memory does not
+    grow; a restored router kept running as a live one (a crash
+    restart) keeps its recorded image for as long as it lives. *)
+
+val serialize_full : image -> bytes
+(** [serialize], re-encoding every entry whether or not an image is
+    recorded: O(table). The reference the incremental path is checked
+    against; it updates the slot map and any recorded image the same
+    way. *)
 
 val snapshot : t -> bytes
 (** [serialize (freeze t)]. *)
 
 val restore : Config_types.t -> bytes -> t
 (** Rebuild a router from a snapshot taken of a router with the same
-    configuration. @raise Invalid_argument on a corrupt image. *)
+    configuration, and record the image for incremental {!serialize}.
+    @raise Invalid_argument on a corrupt image. *)
 
 val clone : t -> t
 (** An independent in-process copy sharing all RIB storage with the
     live router: the Loc-RIB, every Adj-RIB-In/Out and the static table
-    are persistent tries, and the snapshot slot map is a persistent map,
-    so the clone holds references — O(#peers), no serialization; the
-    argument is only read. Serializing the clone updates its own slot
-    map, so its snapshots keep the origin's slot layout. Mutating either side copies only the touched
-    path ({!Dice_inet.Prefix_trie} structural sharing); everything else
+    are persistent tries, the snapshot slot map is a persistent map,
+    and the recorded image (if any) is immutable, so the clone holds
+    references — O(#peers), no serialization; the argument is only
+    read, so clones of one router may be taken from several domains.
+    Serializing the clone updates its own slot map and recorded image,
+    so its snapshots keep the origin's slot layout and cost only what
+    the clone wrote. Mutating either side copies only the touched path
+    ({!Dice_inet.Prefix_trie} structural sharing); everything else
     stays physically shared. This is the explorer-clone path: memory
     per clone is the write set, not the table. *)

@@ -352,6 +352,7 @@ let parse src =
       | "as-path" :: "prepend" :: asns -> Filter.Prepend (List.length asns)
       | _ -> fail ln "unsupported set clause"
     in
+    let sites = Filter.sites rm_name in
     let rec body = function
       | [] -> [ Filter.Reject ] (* the implicit deny *)
       | s :: rest ->
@@ -363,7 +364,7 @@ let parse src =
           let cond =
             List.fold_left (fun acc m -> Filter.And (acc, cond_of m)) (cond_of m) ms
           in
-          Filter.mk_if ~filter_name:rm_name cond arm [] :: body rest)
+          Filter.mk_if sites cond arm [] :: body rest)
     in
     { Filter.name = rm_name; body = body seqs }
   in

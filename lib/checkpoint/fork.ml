@@ -55,15 +55,13 @@ let finish c ~final_image =
   match c.snap with
   | None -> invalid_arg "Fork.finish: clone already finished"
   | Some s ->
-    let final = Store.capture c.cp.mgr.st final_image in
-    let pages = Store.snapshot_pages final in
-    let unique = Store.unique_pages final ~relative_to:c.cp.snap in
-    let unique_fraction = Store.unique_fraction final ~relative_to:c.cp.snap in
-    let base = Store.snapshot_pages c.cp.snap in
+    let pages = Page.count ~page_size:(Store.page_size c.cp.mgr.st) (Bytes.length final_image) in
+    let unique = Store.unique_pages_of_image final_image ~relative_to:s in
+    let unique_fraction = if pages = 0 then 0.0 else float_of_int unique /. float_of_int pages in
+    let base = Store.snapshot_pages s in
     let extra_fraction =
       if base = 0 then 0.0 else float_of_int unique /. float_of_int base
     in
-    Store.release final;
     Store.release s;
     c.snap <- None;
     Atomic.decr c.cp.mgr.clones;

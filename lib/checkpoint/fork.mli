@@ -53,6 +53,15 @@ type clone_stats = {
 }
 
 val finish : clone -> final_image:bytes -> clone_stats
-(** Assess CoW cost and reclaim the clone. A clone can be finished once. *)
+(** Assess CoW cost and reclaim the clone. A clone can be finished once.
+
+    The final image is not captured: it is compared with the
+    checkpoint's pages in place ({!Store.unique_pages_of_image}), a
+    machine word at a time, and only the pages that differ are hashed.
+    So a finish costs one pass over the image plus O(dirty pages) of
+    hashing, stores nothing, and leaves the store's {!Store.captures},
+    {!Store.page_hits} and {!Store.page_inserts} alone: those count
+    checkpoints, not clone finishes. Clones of one checkpoint may be
+    finished from several domains at once. *)
 
 val live_clones : manager -> int

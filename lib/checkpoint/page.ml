@@ -11,11 +11,24 @@ let split ~page_size b =
     if off >= total then List.rev acc
     else begin
       let len = min page_size (total - off) in
-      let page = Bytes.sub b off len in
-      go (off + len) ((id_of b off len, page) :: acc)
+      go (off + len) (id_of b off len :: acc)
     end
   in
-  if total = 0 then [] else go 0 []
+  go 0 []
+
+(* bounds are checked once, up front *)
+external get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
+
+let matches page buf off =
+  let len = Bytes.length page in
+  (* eight bytes at a time, then the odd tail *)
+  let rec words i =
+    if i + 8 > len then tail i
+    else (get64 page i : int64) = get64 buf (off + i) && words (i + 8)
+  and tail i =
+    i >= len || (Bytes.unsafe_get page i = Bytes.unsafe_get buf (off + i) && tail (i + 1))
+  in
+  off >= 0 && off + len <= Bytes.length buf && words 0
 
 let count ~page_size size =
   assert (page_size > 0);

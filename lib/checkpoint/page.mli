@@ -16,9 +16,15 @@ type id = private { hash : int64; len : int }
 val id_of : bytes -> int -> int -> id
 (** [id_of buf off len] identifies the page [buf.(off .. off+len-1)]. *)
 
-val split : page_size:int -> bytes -> (id * bytes) list
-(** Carve a byte sequence into pages of [page_size] (last page may be
-    short) and identify each. *)
+val split : page_size:int -> bytes -> id list
+(** Identify each page of a byte sequence carved into pages of
+    [page_size] (the last page may be short), in place: nothing is
+    copied. Page [i] starts at [i * page_size]. *)
+
+val matches : bytes -> bytes -> int -> bool
+(** [matches page buf off]: [buf] holds [page]'s bytes at [off]
+    (compared a machine word at a time; [false] if they would run past
+    [buf]'s end). *)
 
 val count : page_size:int -> int -> int
 (** Number of pages needed for a state of the given byte size. *)

@@ -45,22 +45,20 @@ let page_size t = t.page_size
 let key_of (id : Page.id) : key = (id.hash, id.len)
 
 let capture t state =
-  let pages = Page.split ~page_size:t.page_size state in
+  (* hashed in place: only a page the store has never seen is copied *)
+  let table = Array.of_list (Page.split ~page_size:t.page_size state) in
   locked t (fun () ->
-      let table =
-        List.map
-          (fun ((id : Page.id), data) ->
-            (match Hashtbl.find_opt t.pages (key_of id) with
-            | Some e ->
-              e.refs <- e.refs + 1;
-              t.page_hits <- t.page_hits + 1
-            | None ->
-              Hashtbl.add t.pages (key_of id) { data; refs = 1 };
-              t.page_inserts <- t.page_inserts + 1);
-            id)
-          pages
-        |> Array.of_list
-      in
+      Array.iteri
+        (fun i (id : Page.id) ->
+          match Hashtbl.find_opt t.pages (key_of id) with
+          | Some e ->
+            e.refs <- e.refs + 1;
+            t.page_hits <- t.page_hits + 1
+          | None ->
+            let data = Bytes.sub state (i * t.page_size) id.len in
+            Hashtbl.add t.pages (key_of id) { data; refs = 1 };
+            t.page_inserts <- t.page_inserts + 1)
+        table;
       t.captures <- t.captures + 1;
       t.live <- t.live + 1;
       { store = t; table; total_len = Bytes.length state; released = false })
@@ -129,6 +127,35 @@ let unique_pages s ~relative_to = snapshot_pages s - shared_pages s relative_to
 let unique_fraction s ~relative_to =
   let n = snapshot_pages s in
   if n = 0 then 0.0 else float_of_int (unique_pages s ~relative_to) /. float_of_int n
+
+(* With δ(k) the change in page key k's count from [s] to [image]:
+   shared = Σ min(count_s k, count_s k + δ(k)) = |s| + Σ_{δ(k)<0} δ(k),
+   so unique = |image| − |s| − Σ_{δ(k)<0} δ(k). δ is non-zero only at
+   positions where the pages differ, and only those are hashed. *)
+let unique_pages_of_image image ~relative_to:s =
+  let t = s.store in
+  let ps = t.page_size and total = Bytes.length image in
+  let n = Page.count ~page_size:ps total and m = Array.length s.table in
+  (* stored pages are never mutated, so they can be compared unlocked *)
+  let data =
+    locked t (fun () ->
+        if s.released then invalid_arg "Store.unique_pages_of_image: snapshot released";
+        Array.map (fun id -> (Hashtbl.find t.pages (key_of id)).data) s.table)
+  in
+  let delta = Hashtbl.create 16 in
+  let bump k d =
+    Hashtbl.replace delta k (d + Option.value (Hashtbl.find_opt delta k) ~default:0)
+  in
+  for i = 0 to max n m - 1 do
+    let off = i * ps in
+    let len = if i < n then min ps (total - off) else 0 in
+    let same = i < n && i < m && s.table.(i).len = len && Page.matches data.(i) image off in
+    if not same then begin
+      if i < n then bump (key_of (Page.id_of image off len)) 1;
+      if i < m then bump (key_of s.table.(i)) (-1)
+    end
+  done;
+  n - m - Hashtbl.fold (fun _ d acc -> if d < 0 then acc + d else acc) delta 0
 
 let stored_pages t = locked t (fun () -> Hashtbl.length t.pages)
 

@@ -189,6 +189,41 @@ let rec map f t =
         count = n.count;
       }
 
+(* Both tries are canonical in shape (a node's prefix is fixed by the
+   keys below it), so a physically shared subtree sits at the same place
+   in both and the walk can stop there, as [shared_nodes] does. *)
+let rec fold_diff f a b acc =
+  if a == b then acc
+  else begin
+    let removed t acc = fold (fun p v acc -> f p (Some v) None acc) t acc in
+    let added t acc = fold (fun p v acc -> f p None (Some v) acc) t acc in
+    match (a, b) with
+    | Empty, _ -> added b acc
+    | _, Empty -> removed a acc
+    | Node x, Node y ->
+      if Prefix.equal x.prefix y.prefix then begin
+        let acc =
+          match (x.value, y.value) with
+          | Some v, Some w when v == w -> acc
+          | None, None -> acc
+          | before, after -> f x.prefix before after acc
+        in
+        fold_diff f x.right y.right (fold_diff f x.left y.left acc)
+      end
+      else if Prefix.subsumes x.prefix y.prefix then begin
+        (* [b] lies wholly under one child of [x] *)
+        let acc = match x.value with Some v -> f x.prefix (Some v) None acc | None -> acc in
+        if qbit y.prefix (Prefix.len x.prefix) then fold_diff f x.right b (removed x.left acc)
+        else fold_diff f x.left b (removed x.right acc)
+      end
+      else if Prefix.subsumes y.prefix x.prefix then begin
+        let acc = match y.value with Some w -> f y.prefix None (Some w) acc | None -> acc in
+        if qbit x.prefix (Prefix.len y.prefix) then fold_diff f a y.right (added y.left acc)
+        else fold_diff f a y.left (added y.right acc)
+      end
+      else added b (removed a acc)
+  end
+
 let filter pred t =
   fold (fun p v acc -> if pred p v then add p v acc else acc) t Empty
 

@@ -65,6 +65,15 @@ val filter : (Prefix.t -> 'a -> bool) -> 'a t -> 'a t
 
 val equal : ('a -> 'a -> bool) -> 'a t -> 'a t -> bool
 
+val fold_diff :
+  (Prefix.t -> 'a option -> 'a option -> 'b -> 'b) -> 'a t -> 'a t -> 'b -> 'b
+(** [fold_diff f a b acc] folds [f p before after] over every prefix
+    whose binding differs from [a] to [b]: bound in one trie only, or
+    bound in both to values that are not physically ([==]) equal. It
+    skips subtrees the two tries physically share, so after a
+    copy-on-write clone plus [k] writes it costs O(k · depth), not
+    O(n). The order of the calls is unspecified. *)
+
 val node_count : 'a t -> int
 (** Trie nodes (bound and fork), not bindings — the unit {!shared_nodes}
     counts in. *)

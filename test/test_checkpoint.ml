@@ -12,7 +12,7 @@ let test_page_split_sizes () =
   let pages = Page.split ~page_size:4096 b in
   Alcotest.(check int) "page count" 3 (List.length pages);
   Alcotest.(check (list int)) "sizes" [ 4096; 4096; 1808 ]
-    (List.map (fun ((id : Page.id), _) -> id.Page.len) pages)
+    (List.map (fun (id : Page.id) -> id.Page.len) pages)
 
 let test_page_split_empty () =
   Alcotest.(check int) "no pages" 0 (List.length (Page.split ~page_size:4096 Bytes.empty))
@@ -179,6 +179,119 @@ let prop_capture_restore =
       Store.release snap;
       ok && Store.stored_pages st = 0)
 
+(* Fork.finish compares pages in place; the reference is what it did
+   before: capture the final image and count page multisets. Pages are
+   drawn from a small pool (all-zero included) so equal pages recur at
+   other positions, and patches copy one checkpoint page over another,
+   zero a page, flip a byte, grow the image or cut it mid-page. *)
+type patch =
+  | Copy_page of int * int  (* page [dst] takes checkpoint page [src]'s bytes *)
+  | Zero_page of int
+  | Flip of int  (* one byte, anywhere *)
+  | Flip_last of int  (* one of the last 8 bytes: a partial page's odd tail *)
+  | Grow of int
+  | Shrink of int
+
+let prop_finish_matches_capture =
+  let page_size = 32 in
+  let pool =
+    [| Bytes.make page_size '\000'; bytes_of page_size Fun.id; Bytes.make page_size 'x' |]
+  in
+  let gen =
+    let open QCheck.Gen in
+    let image =
+      map2
+        (fun picks extra ->
+          Bytes.cat
+            (Bytes.concat Bytes.empty (List.map (fun i -> pool.(i)) picks))
+            (Bytes.make extra 'p'))
+        (list_size (int_range 0 12) (int_bound 2))
+        (int_bound (page_size - 1))
+    in
+    let patch =
+      frequency
+        [ (3, map2 (fun d s -> Copy_page (d, s)) (int_bound 13) (int_bound 13));
+          (2, map (fun i -> Zero_page i) (int_bound 13));
+          (3, map (fun i -> Flip i) (int_bound 500));
+          (2, map (fun i -> Flip_last i) (int_bound 7));
+          (1, map (fun n -> Grow n) (int_range 1 100));
+          (1, map (fun n -> Shrink n) (int_range 1 100)) ]
+    in
+    pair image (list_size (int_range 0 6) patch)
+  in
+  let apply live img = function
+    | Copy_page (dst, src) ->
+      if (src + 1) * page_size <= Bytes.length live && (dst + 1) * page_size <= Bytes.length img
+      then Bytes.blit live (src * page_size) img (dst * page_size) page_size;
+      img
+    | Zero_page i ->
+      if (i + 1) * page_size <= Bytes.length img then
+        Bytes.fill img (i * page_size) page_size '\000';
+      img
+    | Flip i ->
+      if i < Bytes.length img then Bytes.set img i (Char.chr (Char.code (Bytes.get img i) lxor 1));
+      img
+    | Flip_last i ->
+      let i = Bytes.length img - 1 - i in
+      if i >= 0 then Bytes.set img i (Char.chr (Char.code (Bytes.get img i) lxor 1));
+      img
+    | Grow n -> Bytes.cat img (bytes_of n (fun i -> i * 7))
+    | Shrink n -> Bytes.sub img 0 (max 0 (Bytes.length img - n))
+  in
+  QCheck.Test.make ~name:"Fork.finish \u{2261} capture-based accounting" ~count:500
+    (QCheck.make gen) (fun (live, patches) ->
+      let final = List.fold_left (apply live) (Bytes.copy live) patches in
+      let mgr = Fork.create ~page_size () in
+      let cp = Fork.checkpoint mgr ~live_image:live in
+      let got = Fork.finish (Fork.spawn cp) ~final_image:final in
+      let st = Store.create ~page_size () in
+      let c = Store.capture st live and f = Store.capture st final in
+      let unique = Store.unique_pages f ~relative_to:c in
+      let base = Store.snapshot_pages c in
+      let want =
+        { Fork.pages = Store.snapshot_pages f;
+          unique;
+          unique_fraction = Store.unique_fraction f ~relative_to:c;
+          extra_fraction = (if base = 0 then 0.0 else float_of_int unique /. float_of_int base);
+        }
+      in
+      got = want)
+
+let test_finish_from_two_domains () =
+  (* explorer seeds finish clones of one checkpoint on separate
+     domains while others capture into the same store; each result must
+     be what a lone finish gives *)
+  let page_size = 64 in
+  let live = bytes_of (64 * page_size) Fun.id in
+  let final k =
+    let b = Bytes.copy live in
+    Bytes.set b (k * 97 mod Bytes.length b) '\xEE';
+    if k mod 3 = 0 then Bytes.cat b (Bytes.make (k * 5) 'm') else b
+  in
+  let finals = List.init 40 final in
+  let expected =
+    let mgr = Fork.create ~page_size () in
+    let cp = Fork.checkpoint mgr ~live_image:live in
+    List.map (fun f -> Fork.finish (Fork.spawn cp) ~final_image:f) finals
+  in
+  let mgr = Fork.create ~page_size () in
+  let cp = Fork.checkpoint mgr ~live_image:live in
+  let worker offset () =
+    List.filteri (fun i _ -> i mod 2 = offset) finals
+    |> List.mapi (fun i f ->
+           (* fresh pages grow the store's table under the readers *)
+           let fresh = bytes_of (8 * page_size) (fun j -> (i * 131) + j + offset) in
+           let other = Fork.checkpoint mgr ~live_image:fresh in
+           let stats = Fork.finish (Fork.spawn cp) ~final_image:f in
+           Fork.drop_checkpoint other;
+           stats)
+  in
+  let d0 = Domain.spawn (worker 0) and d1 = Domain.spawn (worker 1) in
+  let r0 = Domain.join d0 and r1 = Domain.join d1 in
+  let got = List.mapi (fun i _ -> List.nth (if i mod 2 = 0 then r0 else r1) (i / 2)) finals in
+  Alcotest.(check bool) "same stats as one domain" true (got = expected);
+  Alcotest.(check int) "every clone reclaimed" 0 (Fork.live_clones mgr)
+
 let suite =
   [ ("page split sizes", `Quick, test_page_split_sizes);
     ("page split empty", `Quick, test_page_split_empty);
@@ -198,5 +311,7 @@ let suite =
     ("fork grown clone", `Quick, test_fork_grown_clone);
     ("fork double finish rejected", `Quick, test_fork_double_finish_rejected);
     ("checkpoint stats divergence", `Quick, test_checkpoint_stats_divergence);
-    QCheck_alcotest.to_alcotest prop_capture_restore
+    ("fork finish from two domains", `Quick, test_finish_from_two_domains);
+    QCheck_alcotest.to_alcotest prop_capture_restore;
+    QCheck_alcotest.to_alcotest prop_finish_matches_capture
   ]

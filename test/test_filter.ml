@@ -280,6 +280,61 @@ let test_eval_pattern_concolic_agrees () =
     [ "198.51.100.0/22"; "198.51.101.0/24"; "198.51.100.0/28"; "198.51.100.0/29";
       "198.51.96.0/22"; "198.51.100.0/21"; "10.0.0.0/24"; "198.51.102.128/25" ]
 
+(* ---- site names depend only on the filter text ---- *)
+
+let repeat_config =
+  {|
+  router id 10.0.0.1;
+  local as 64510;
+  filter f {
+    if net ~ [ 10.0.0.0/8{8,24} ] then {
+      if bgp_med > 50 then reject;
+      bgp_local_pref = 120;
+    }
+    if net.len > 24 then reject;
+    accept;
+  }
+  protocol bgp a { neighbor 10.0.1.2 as 64501; import filter f; export all; }
+  |}
+
+let site_names (f : Filter.t) =
+  let rec stmt acc = function
+    | Filter.If { site; then_; else_; _ } ->
+      List.fold_left stmt (List.fold_left stmt (site :: acc) then_) else_
+    | _ -> acc
+  in
+  List.sort compare (List.fold_left stmt [] f.Filter.body)
+
+let filter_f () =
+  match Config_types.find_filter (Config_parser.parse repeat_config) "f" with
+  | Some f -> f
+  | None -> Alcotest.fail "filter f missing"
+
+let test_sites_repeatable () =
+  let first = site_names (filter_f ()) in
+  Alcotest.(check (list string)) "numbered by position"
+    [ "filter:f:if0"; "filter:f:if1"; "filter:f:if2" ] first;
+  Alcotest.(check (list string)) "second parse, same names" first (site_names (filter_f ()))
+
+let test_exploration_repeatable () =
+  (* coverage is keyed by interned site: a second parse that renamed its
+     sites would cover different keys *)
+  let explore f =
+    let route =
+      Route.make ~origin:Attr.Igp ~as_path:[ Asn.Path.Seq [ 64501 ] ] ~med:(Some 10)
+        ~next_hop:(Ipv4.of_string "10.0.1.2") ()
+    in
+    let program ctx =
+      let cr = Dice_core.Symbolize.croute ctx ~tag:"rep" ~prefix:(p "10.1.0.0/16") ~route in
+      ignore (Filter_interp.run ctx ~source_as:64501 ~local_as:64510 f cr)
+    in
+    let report = Explorer.explore ~config:Explorer.default_config program in
+    Coverage.snapshot report.Explorer.coverage
+  in
+  let first = explore (filter_f ()) in
+  Alcotest.(check bool) "explored some branches" true (first <> []);
+  Alcotest.(check (list (pair int bool))) "same coverage" first (explore (filter_f ()))
+
 let suite =
   [ ("pattern exact", `Quick, test_pattern_exact);
     ("pattern plus", `Quick, test_pattern_plus);
@@ -306,5 +361,7 @@ let suite =
     ("interp prepend", `Quick, test_interp_prepend);
     ("interp nested if", `Quick, test_interp_nested_if);
     ("concolic matches concrete", `Quick, test_interp_concolic_matches_concrete);
-    ("pattern concolic agrees", `Quick, test_eval_pattern_concolic_agrees)
+    ("pattern concolic agrees", `Quick, test_eval_pattern_concolic_agrees);
+    ("parsing a config twice gives the same site names", `Quick, test_sites_repeatable);
+    ("exploring a config twice gives the same coverage", `Quick, test_exploration_repeatable)
   ]

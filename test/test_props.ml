@@ -116,6 +116,95 @@ let prop_snapshot_stable_layout =
          spanning at most 2 pages at this page size, plus the header *)
       changed <= (List.length more * 8) + 4)
 
+(* ---- incremental snapshots ---- *)
+
+(* schedules for the incremental-serialization oracle: a small prefix
+   pool, so withdrawals free slots that later announcements reuse, and
+   long AS paths, so payloads cross the 255-byte slot limit into the
+   overflow region and back *)
+type sched_op =
+  | S_announce of int * Prefix.t * int * bool  (* peer idx, prefix, origin asn, long path *)
+  | S_withdraw of int * Prefix.t
+  | S_notify of int  (* NOTIFICATION: the session drops and the peer is flushed *)
+  | S_reopen of int
+  | S_snapshot
+  | S_fork  (* continue on clones of the current routers *)
+
+let arb_schedule =
+  let open QCheck.Gen in
+  let prefix =
+    map (fun (a, l) -> Prefix.make ((10 + a) lsl 24) (8 + l)) (pair (int_bound 5) (int_bound 2))
+  in
+  let announce =
+    map
+      (fun (pi, pfx, origin, long) -> S_announce (pi, pfx, 64800 + origin, long))
+      (quad (int_bound 1) prefix (int_bound 9) (map (fun n -> n = 0) (int_bound 2)))
+  in
+  let op =
+    frequency
+      [ (6, announce);
+        (4, map (fun (pi, pfx) -> S_withdraw (pi, pfx)) (pair (int_bound 1) prefix));
+        (1, map (fun pi -> S_notify pi) (int_bound 1));
+        (1, map (fun pi -> S_reopen pi) (int_bound 1));
+        (2, return S_snapshot);
+        (1, return S_fork) ]
+  in
+  QCheck.make
+    ~print:(fun (setup, ops) ->
+      Printf.sprintf "%d set-up announcements, %d ops" (List.length setup) (List.length ops))
+    (pair (list_size (int_range 0 20) announce) (list_size (int_range 1 40) op))
+
+let apply_sched router = function
+  | S_announce (pi, prefix, origin, long) ->
+    let peer, peer_as = if pi = 0 then (peer_a, 64501) else (peer_b, 64700) in
+    let path = if long then List.init 70 (fun i -> origin + i) else [ origin ] in
+    let route =
+      Route.make ~origin:Attr.Igp ~as_path:[ Asn.Path.Seq (peer_as :: path) ] ~next_hop:peer ()
+    in
+    ignore
+      (Router.handle_msg router ~peer
+         (Msg.Update { withdrawn = []; attrs = Route.to_attrs route; nlri = [ prefix ] }))
+  | S_withdraw (pi, prefix) -> apply_op router (Withdraw (pi, prefix))
+  | S_notify pi ->
+    let peer = if pi = 0 then peer_a else peer_b in
+    ignore
+      (Router.handle_msg router ~peer
+         (Msg.Notification { Msg.code = 6; subcode = 2; data = Bytes.empty }))
+  | S_reopen pi ->
+    let peer, remote_as = if pi = 0 then (peer_a, 64501) else (peer_b, 64700) in
+    if Router.peer_state router peer <> Some Fsm.Established then establish router peer remote_as
+  | S_snapshot | S_fork -> ()
+
+let prop_incremental_snapshot =
+  (* [inc] serializes through its recorded image, [full] re-encodes
+     every entry; both start from one restored router and see the same
+     schedule, so every snapshot must be byte-identical *)
+  QCheck.Test.make ~name:"bird: incremental snapshot \u{2261} full serialize" ~count:150
+    arb_schedule (fun (setup, ops) ->
+      let live = ready () in
+      List.iter (apply_sched live) setup;
+      let image = Router.snapshot live in
+      let restored = Router.restore config image in
+      let inc = ref restored and full = ref (Router.clone restored) in
+      let agree () =
+        Bytes.equal (Router.snapshot !inc) (Router.serialize_full (Router.freeze !full))
+      in
+      Bytes.equal image (Router.snapshot restored)
+      && List.for_all
+           (fun op ->
+             match op with
+             | S_snapshot -> agree ()
+             | S_fork ->
+               inc := Router.clone !inc;
+               full := Router.clone !full;
+               true
+             | op ->
+               apply_sched !inc op;
+               apply_sched !full op;
+               true)
+           ops
+      && agree () && agree ())
+
 let prop_loc_rib_consistent_with_adj =
   QCheck.Test.make ~name:"every Loc-RIB route is backed by an Adj-RIB-In or a static"
     ~count:60 arb_op (fun ops ->
@@ -266,6 +355,7 @@ let prop_import_concolic_matches_concrete_processing =
 let suite =
   [ QCheck_alcotest.to_alcotest prop_snapshot_roundtrip_after_ops;
     QCheck_alcotest.to_alcotest prop_snapshot_stable_layout;
+    QCheck_alcotest.to_alcotest prop_incremental_snapshot;
     QCheck_alcotest.to_alcotest prop_loc_rib_consistent_with_adj;
     QCheck_alcotest.to_alcotest prop_withdraw_all_empties;
     QCheck_alcotest.to_alcotest prop_eventq_fifo_ties;

@@ -217,6 +217,49 @@ let prop_covering_covered_dual =
       List.sort Prefix.compare covering = List.sort Prefix.compare expect_covering
       && List.sort Prefix.compare covered = List.sort Prefix.compare expect_covered)
 
+let prop_fold_diff =
+  (* prefixes from a narrow space nest and fork often; [b] is [a] after
+     a few writes (sharing most of it) or, half the time, rebuilt from
+     its bindings (sharing nothing) *)
+  let arb_prefix =
+    QCheck.map
+      (fun (a, l) -> Prefix.make ((a lsl 24) land 0xFFFFFFFF) l)
+      (QCheck.pair (QCheck.int_bound 0xFF) (QCheck.int_bound 10))
+  in
+  let arb_write =
+    QCheck.oneof
+      [ QCheck.map (fun (p, v) -> `Add (p, v)) (QCheck.pair arb_prefix QCheck.small_int);
+        QCheck.map (fun p -> `Remove p) arb_prefix ]
+  in
+  QCheck.Test.make ~name:"fold_diff agrees with the bindings' difference" ~count:300
+    QCheck.(
+      triple
+        (list_of_size (Gen.int_range 0 40) (pair arb_prefix small_int))
+        (list_of_size (Gen.int_range 0 8) arb_write)
+        bool)
+    (fun (pairs, writes, rebuild) ->
+      let a = T.of_list pairs in
+      let b =
+        List.fold_left
+          (fun t w -> match w with `Add (p, v) -> T.add p v t | `Remove p -> T.remove p t)
+          a writes
+      in
+      let b = if rebuild then T.of_list (T.to_list b) else b in
+      let got =
+        T.fold_diff (fun p before after acc -> (p, before, after) :: acc) a b []
+        |> List.sort compare
+      in
+      let keys = List.sort_uniq Prefix.compare (List.map fst (T.to_list a @ T.to_list b)) in
+      let want =
+        List.filter_map
+          (fun p ->
+            let before = T.find_opt p a and after = T.find_opt p b in
+            if before = after then None else Some (p, before, after))
+          keys
+        |> List.sort compare
+      in
+      got = want)
+
 let suite =
   [ ("empty", `Quick, test_empty);
     ("add/find", `Quick, test_add_find);
@@ -235,5 +278,6 @@ let suite =
     ("descent mismatch", `Quick, test_descent_stops_at_mismatch);
     QCheck_alcotest.to_alcotest prop_model;
     QCheck_alcotest.to_alcotest prop_to_list_sorted;
-    QCheck_alcotest.to_alcotest prop_covering_covered_dual
+    QCheck_alcotest.to_alcotest prop_covering_covered_dual;
+    QCheck_alcotest.to_alcotest prop_fold_diff
   ]
