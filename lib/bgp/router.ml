@@ -51,12 +51,13 @@ end)
 (* maps keyed by slot index *)
 module Idx = Map.Make (Int)
 
-(* The image a restored router's slot map agrees with: the tries it
-   held, and the bytes they serialize to, kept as the image it was
-   restored from plus the slots written since. [serialize] diffs
-   against it and patches a copy of [rec_base] instead of re-encoding
-   every entry (see the Checkpointing section). Immutable, so the
-   clones that share it may read it from several domains. *)
+(* The image a serialized or restored router's slot map agrees with:
+   the tries it held, and the bytes they serialize to, kept as the image
+   it was serialized to or restored from plus the slots written since.
+   [serialize] diffs against it and patches a copy of [rec_base] instead
+   of re-encoding every entry (see the Checkpointing section).
+   Immutable, so the clones that share it may read it from several
+   domains. *)
 type recorded = {
   rec_loc : Rib.Loc.t;
   rec_peers : (Ipv4.t * Rib.Adj.t * Rib.Adj.t) list;  (* by address *)
@@ -76,7 +77,7 @@ type t = {
   mutable slots : int Slots.t;
   mutable next_slot : int;
   mutable free_slots : int list;
-  mutable recorded : recorded option;  (* None unless restored *)
+  mutable recorded : recorded option;  (* None until first serialized or restored *)
 }
 
 let config t = t.cfg
@@ -760,12 +761,25 @@ let changed_entries r img =
       |> adj (fun p -> Slot_adj_out (addr, p)) r_out adj_out)
     loc r.rec_peers img.img_peers
 
+(* a record whose base is [l]'s image (a private copy) *)
+let record ~loc ~peers l =
+  {
+    rec_loc = loc;
+    rec_peers = peers;
+    rec_base = Bytes.to_string l.image;
+    rec_base_region = l.region;
+    rec_header_room = l.header_room;
+    rec_overlay = Idx.empty;
+    rec_spilled = l.spilled;
+  }
+
 (* Patch a copy of the recorded image: the header, every slot written
    since its base, and the overflow tail. Slots are freed and assigned
    exactly as [encode_all] would (the recorded keys are the slot map's
    keys), so the bytes are the same. Returns the image and the new
-   record, which shares the base; [None] when the header room moved,
-   which would shift every slot. *)
+   record, which shares the base until the overlay covers half the
+   slots; [None] when the header room moved, which would shift every
+   slot. *)
 let patch_recorded img r ~peers =
   let t = img.of_router in
   let changes = changed_entries r img in
@@ -792,33 +806,30 @@ let patch_recorded img r ~peers =
     let image = Bytes.create (region + Bytes.length tail) in
     Bytes.blit_string r.rec_base 0 image 0 r.rec_base_region;
     Bytes.blit header 0 image 0 (Bytes.length header);
+    let overlaid = ref 0 in
     Idx.iter
       (fun idx payload ->
+        incr overlaid;
         Bytes.fill image (header_room + (idx * slot_size)) slot_size '\000';
         Option.iter (write_slot image ~header_room idx) payload)
       overlay;
     Bytes.blit tail 0 image region (Bytes.length tail);
-    Some
-      ( image,
+    (* a router serialized again and again (the live one) would keep
+       every slot it ever wrote in the overlay: once that is half the
+       slots, the image becomes the new base *)
+    let r =
+      if 2 * !overlaid > t.next_slot then
+        record ~loc:img.img_loc ~peers { image; header_room; region; spilled }
+      else
         { r with
           rec_loc = img.img_loc;
           rec_peers = peers;
           rec_overlay = overlay;
           rec_spilled = spilled;
-        } )
+        }
+    in
+    Some (image, r)
   end
-
-(* a record whose base is [l]'s image (a private copy) *)
-let record ~loc ~peers l =
-  {
-    rec_loc = loc;
-    rec_peers = peers;
-    rec_base = Bytes.to_string l.image;
-    rec_base_region = l.region;
-    rec_header_room = l.header_room;
-    rec_overlay = Idx.empty;
-    rec_spilled = l.spilled;
-  }
 
 let serialize_with ~patch img =
   let t = img.of_router in
@@ -835,9 +846,7 @@ let serialize_with ~patch img =
     image
   | None ->
     let l = encode_all img in
-    (* a router that was never restored keeps no image: the live speaker
-       pays nothing for this *)
-    if Option.is_some t.recorded then t.recorded <- Some (record ~loc:img.img_loc ~peers l);
+    t.recorded <- Some (record ~loc:img.img_loc ~peers l);
     l.image
 
 let serialize = serialize_with ~patch:true

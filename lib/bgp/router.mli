@@ -100,22 +100,31 @@ val serialize : image -> bytes
     entries occupy the same offsets across snapshots of the same
     router.
 
-    Cost. A router that {!restore} built (and every {!clone} of it)
-    holds a {e recorded image}: the tries it last serialized or
-    restored, the image it was restored from (a private copy), the
-    payloads of the slots written since, and those of the overflow
-    region. Serializing such a router diffs its tries against the
-    recorded ones, skipping physically shared subtrees, re-encodes only
-    the entries added, removed or changed, and patches a copy of the
-    restored image (header, slots written since the restore, overflow
-    tail). That is one copy of the image plus O(writes since the
-    restore), instead of O(table) encoding. The bytes are those
-    {!serialize_full} gives, provided the restored image came from
+    Cost. A router holds a {e recorded image}, [None] until it is
+    first serialized or restored (and shared by every {!clone} taken
+    since): the tries it last serialized or restored, a base image (a
+    private copy of the bytes it serialized to or was restored from),
+    the payloads of the slots written since, and those of the overflow
+    region. Serializing a router with a recorded image diffs its tries
+    against the recorded ones, skipping physically shared subtrees,
+    re-encodes only the entries added, removed or changed, and patches
+    a copy of the base image (header, slots written since the base,
+    overflow tail). That is one copy of the image plus O(writes since
+    the base), instead of O(table) encoding. Once the slots written
+    since the base are half of all slots, the patched image becomes the
+    new base, so a router serialized again and again (the live one,
+    once per exploration) keeps its record bounded. The bytes are those
+    {!serialize_full} gives, provided a restored image came from
     [serialize]: the bytes of untouched entries are reused as they are.
-    A router that was never restored keeps no recorded image and
-    always takes the full path, so the live speaker's memory does not
-    grow; a restored router kept running as a live one (a crash
-    restart) keeps its recorded image for as long as it lives. *)
+    The first serialization, and one whose peer set or header room
+    changed, takes the full path.
+
+    Memory. A router that was serialized or restored keeps its base
+    image for as long as it lives: 6.1 MB at 8,000 prefixes, and about
+    [256] bytes per RIB entry in general (Loc-RIB plus every
+    Adj-RIB-In/Out), so roughly 245 MB for a single-feed table of
+    319,355 prefixes. A router that is never serialized (a probe-only
+    agent, a fleet member) pays nothing. *)
 
 val serialize_full : image -> bytes
 (** [serialize], re-encoding every entry whether or not an image is
@@ -128,7 +137,8 @@ val snapshot : t -> bytes
 
 val restore : Config_types.t -> bytes -> t
 (** Rebuild a router from a snapshot taken of a router with the same
-    configuration, and record the image for incremental {!serialize}.
+    configuration, and record the image for incremental {!serialize}
+    (the same record a first {!serialize} makes).
     @raise Invalid_argument on a corrupt image. *)
 
 val clone : t -> t

@@ -51,12 +51,13 @@ type clone_stats = {
   extra_fraction : float;
 }
 
-let finish c ~final_image =
+let finish c ~final_parts =
   match c.snap with
   | None -> invalid_arg "Fork.finish: clone already finished"
   | Some s ->
-    let pages = Page.count ~page_size:(Store.page_size c.cp.mgr.st) (Bytes.length final_image) in
-    let unique = Store.unique_pages_of_image final_image ~relative_to:s in
+    let len = List.fold_left (fun acc b -> acc + Bytes.length b) 0 final_parts in
+    let pages = Page.count ~page_size:(Store.page_size c.cp.mgr.st) len in
+    let unique = Store.unique_pages_of_image final_parts ~relative_to:s in
     let unique_fraction = if pages = 0 then 0.0 else float_of_int unique /. float_of_int pages in
     let base = Store.snapshot_pages s in
     let extra_fraction =

@@ -52,10 +52,12 @@ type clone_stats = {
           paper's "36.93% more pages" metric *)
 }
 
-val finish : clone -> final_image:bytes -> clone_stats
+val finish : clone -> final_parts:bytes list -> clone_stats
 (** Assess CoW cost and reclaim the clone. A clone can be finished once.
 
-    The final image is not captured: it is compared with the
+    The final image is the concatenation of [final_parts] (the
+    explorer passes the clone's snapshot, then its engine metadata),
+    and it is never built: the parts are compared with the
     checkpoint's pages in place ({!Store.unique_pages_of_image}), a
     machine word at a time, and only the pages that differ are hashed.
     So a finish costs one pass over the image plus O(dirty pages) of

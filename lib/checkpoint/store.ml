@@ -128,13 +128,45 @@ let unique_fraction s ~relative_to =
   let n = snapshot_pages s in
   if n = 0 then 0.0 else float_of_int (unique_pages s ~relative_to) /. float_of_int n
 
-(* With δ(k) the change in page key k's count from [s] to [image]:
+(* Page by page over the concatenation of [parts], in ascending order:
+   [locate off len] gives a buffer and offset holding bytes [off, off +
+   len) of it. A page inside one part is read in place; one that
+   straddles parts is gathered into a scratch page. *)
+let page_cursor ~page_size parts =
+  let scratch = Bytes.create page_size in
+  let rest = ref parts and start = ref 0 in
+  let rec skip off =
+    match !rest with
+    | b :: tl when !start + Bytes.length b <= off ->
+      start := !start + Bytes.length b;
+      rest := tl;
+      skip off
+    | _ -> ()
+  in
+  fun off len ->
+    skip off;
+    match !rest with
+    | b :: _ when off + len <= !start + Bytes.length b -> (b, off - !start)
+    | _ ->
+      let rec gather parts from copied =
+        match parts with
+        | [] -> ()
+        | b :: tl ->
+          let n = min (Bytes.length b - from) (len - copied) in
+          Bytes.blit b from scratch copied n;
+          if copied + n < len then gather tl 0 (copied + n)
+      in
+      gather !rest (off - !start) 0;
+      (scratch, 0)
+
+(* With δ(k) the change in page key k's count from [s] to the image:
    shared = Σ min(count_s k, count_s k + δ(k)) = |s| + Σ_{δ(k)<0} δ(k),
    so unique = |image| − |s| − Σ_{δ(k)<0} δ(k). δ is non-zero only at
    positions where the pages differ, and only those are hashed. *)
-let unique_pages_of_image image ~relative_to:s =
+let unique_pages_of_image parts ~relative_to:s =
   let t = s.store in
-  let ps = t.page_size and total = Bytes.length image in
+  let ps = t.page_size in
+  let total = List.fold_left (fun acc b -> acc + Bytes.length b) 0 parts in
   let n = Page.count ~page_size:ps total and m = Array.length s.table in
   (* stored pages are never mutated, so they can be compared unlocked *)
   let data =
@@ -142,6 +174,7 @@ let unique_pages_of_image image ~relative_to:s =
         if s.released then invalid_arg "Store.unique_pages_of_image: snapshot released";
         Array.map (fun id -> (Hashtbl.find t.pages (key_of id)).data) s.table)
   in
+  let locate = page_cursor ~page_size:ps parts in
   let delta = Hashtbl.create 16 in
   let bump k d =
     Hashtbl.replace delta k (d + Option.value (Hashtbl.find_opt delta k) ~default:0)
@@ -149,9 +182,10 @@ let unique_pages_of_image image ~relative_to:s =
   for i = 0 to max n m - 1 do
     let off = i * ps in
     let len = if i < n then min ps (total - off) else 0 in
-    let same = i < n && i < m && s.table.(i).len = len && Page.matches data.(i) image off in
+    let buf, boff = if i < n then locate off len else (Bytes.empty, 0) in
+    let same = i < n && i < m && s.table.(i).len = len && Page.matches data.(i) buf boff in
     if not same then begin
-      if i < n then bump (key_of (Page.id_of image off len)) 1;
+      if i < n then bump (key_of (Page.id_of buf boff len)) 1;
       if i < m then bump (key_of s.table.(i)) (-1)
     end
   done;

@@ -46,13 +46,17 @@ val unique_fraction : snapshot -> relative_to:snapshot -> float
 (** [unique_pages / snapshot_pages], in [\[0, 1\]]; [0.] for an empty
     snapshot. *)
 
-val unique_pages_of_image : bytes -> relative_to:snapshot -> int
-(** [unique_pages (capture t image) ~relative_to], without capturing:
-    each page of [image] is compared, a machine word at a time, with
-    [relative_to]'s page at the same position, and only the pages that
-    differ are hashed. The stored pages are looked up under one lock
-    acquisition; nothing is inserted and no counter moves. O(image) to
-    compare, O(differing pages) to hash.
+val unique_pages_of_image : bytes list -> relative_to:snapshot -> int
+(** [unique_pages_of_image parts ~relative_to] is [unique_pages
+    (capture t image) ~relative_to] for [image] the concatenation of
+    [parts], without capturing and without concatenating: each page of
+    [image] is compared, a machine word at a time, with [relative_to]'s
+    page at the same position, and only the pages that differ are
+    hashed. A page that lies inside one part is read there in place;
+    only a page that straddles parts is copied, into one scratch page.
+    The stored pages are looked up under one lock acquisition; nothing
+    is inserted and no counter moves. O(image) to compare, O(differing
+    pages) to hash.
     @raise Invalid_argument if [relative_to] was released. *)
 
 val stored_pages : t -> int

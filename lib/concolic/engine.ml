@@ -103,7 +103,9 @@ let branch t site cond =
   end;
   taken
 
-let branchf t name cond = branch t (Path.Site.intern name) cond
+(* a null context records nothing, so it leaves the site registry alone *)
+let branchf t name cond =
+  if t.recording then branch t (Path.Site.intern name) cond else Cval.bool_of cond
 
 let env t = t.concrete_env
 

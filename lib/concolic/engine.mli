@@ -55,7 +55,9 @@ val branch : ctx -> Path.Site.t -> Cval.t -> bool
     the site either way (when recording). *)
 
 val branchf : ctx -> string -> Cval.t -> bool
-(** [branch] with the site interned from a name — convenient at use sites. *)
+(** [branch] with the site interned from a name — convenient at use
+    sites. A non-recording context interns nothing: it only evaluates
+    [cond]. *)
 
 val env : ctx -> Sym.env
 (** Concrete values the run's inputs actually had (by variable id) — the

@@ -176,14 +176,12 @@ type report = {
 (* Serialized engine metadata: the path condition buffers a forked explorer
    process keeps in memory — counted as part of the clone's CoW footprint,
    as they would be in a real fork-based explorer. *)
-let engine_metadata ctx =
-  let buf = Buffer.create 256 in
+let add_engine_metadata buf ctx =
   List.iter
     (fun (e : Path.entry) ->
       Buffer.add_string buf (Path.Site.name e.Path.site);
       Buffer.add_string buf (Format.asprintf "%a" Path.pp_constr e.Path.constr))
-    (Engine.path ctx);
-  Bytes.of_string (Buffer.contents buf)
+    (Engine.path ctx)
 
 let dedup_faults faults =
   let seen = Hashtbl.create 32 in
@@ -225,7 +223,7 @@ let explore_seed t ~checkpoint ~base ~pre_loc (s : seed) =
   let run_outcome clone ctx (outcome : Speaker.import_outcome) =
     (* the first run replays the observed input unmutated *)
     if !observed_accepted = None then observed_accepted := Some outcome.Speaker.accepted;
-    Buffer.add_bytes meta_buf (engine_metadata ctx);
+    add_engine_metadata meta_buf ctx;
     List.iter
       (fun (_, _) -> Dice_sim.Isolation.send sandbox ~src:0 ~dst:0 Bytes.empty)
       outcome.Speaker.outputs;
@@ -238,11 +236,8 @@ let explore_seed t ~checkpoint ~base ~pre_loc (s : seed) =
       if !sampled < ex.clone_samples && power_of_two !accepted then begin
         incr sampled;
         let fclone = Fork.spawn checkpoint in
-        let final =
-          Bytes.cat (Speaker.snapshot clone)
-            (Bytes.of_string (Buffer.contents meta_buf))
-        in
-        clone_stats := Fork.finish fclone ~final_image:final :: !clone_stats
+        let final_parts = [ Speaker.snapshot clone; Buffer.to_bytes meta_buf ] in
+        clone_stats := Fork.finish fclone ~final_parts :: !clone_stats
       end
     end
     else incr rejected;
@@ -322,14 +317,20 @@ let explore t =
      process image — the in-process equivalent of fork()'s page-table
      copy; the speaker decides how cheap it can make it *)
   let serialize_frozen = Speaker.freeze t.live in
+  let version = Speaker.updates_processed t.live in
   let checkpoint_seconds = Unix.gettimeofday () -. t0 in
   (* from here on the explorer does the work: serialization included *)
   let live_image = serialize_frozen () in
+  (* the one exploration base: a clone of the live speaker as it was
+     frozen, sharing its storage (and BIRD's image recorded by the
+     serialization), so each sampled footprint patches that image
+     instead of re-encoding the table; runs only ever read the base,
+     through [Speaker.clone] *)
+  let base = Speaker.clone t.live in
+  if Speaker.updates_processed base <> version then
+    invalid_arg "Orchestrator.explore: the live speaker changed while it was checkpointed";
   let mgr = Fork.create ~page_size:ex.page_size () in
   let checkpoint = Fork.checkpoint mgr ~live_image in
-  (* the one exploration base, rebuilt from the checkpoint image; runs
-     only ever read it, through [Speaker.clone] *)
-  let base = Speaker.restore_like t.live (Speaker.realization t.live) live_image in
   (* the checkers' pre-exploration view: the base holds the live state,
      so a speaker that materializes its view does it off the live node *)
   let pre_loc = Speaker.loc_rib base in

@@ -12,10 +12,10 @@
       deployed system never sees exploration traffic), and
     + runs fault checkers against every explored outcome.
 
-    The live speaker is never mutated: {!explore} restores the
-    checkpoint image once into an exploration base (of the same
-    implementation, through {!Speaker.restore_like}), and every
-    exploration run executes on a {!Speaker.clone} of that base. *)
+    The live speaker is never mutated: {!explore} takes one
+    {!Speaker.clone} of it, right after serializing the checkpoint, as
+    the exploration base, and every exploration run executes on a
+    {!Speaker.clone} of that base. Nothing is restored from bytes. *)
 
 open Dice_inet
 open Dice_bgp
@@ -48,8 +48,8 @@ type exploration = {
   clone_samples : int;  (** CoW-cost samples collected per seed *)
   jobs : int;
       (** worker domains for seed-level parallelism: each pending seed
-          explores on clones of the one base restored from the
-          checkpoint, [jobs] at a time. [1] (the default) keeps
+          explores on clones of the one base cloned from the live
+          speaker at the checkpoint, [jobs] at a time. [1] (the default) keeps
           everything on the calling domain. Report order always equals
           seed order. *)
 }
@@ -183,6 +183,9 @@ type report = {
 
 val explore : t -> report
 (** Checkpoint the live speaker and explore the pending seeds (most
-    recent [max_seeds]; the queue is drained). *)
+    recent [max_seeds]; the queue is drained). The live speaker must not
+    be fed from another domain during the call.
+    @raise Invalid_argument if it processed an update between the
+    freeze and the clone of the exploration base. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -232,12 +232,12 @@ val clone : instance -> instance
 
 val restore_like : instance -> realization -> bytes -> instance
 (** [restore_like inst real image] rebuilds from [image] with the {e
-    same implementation} as [inst] — how the explorer builds its one
-    base per exploration from the checkpoint image (runs then clone the
-    base), how recovery rebuilds a crashed agent (pass [realization
-    inst] unchanged; nothing is re-rendered), and how validation builds
-    a shadow speaker under a proposed realization, without any of them
-    naming an implementation. *)
+    same implementation} as [inst] — how recovery rebuilds a crashed
+    agent (pass [realization inst] unchanged; nothing is re-rendered),
+    and how validation builds a shadow speaker under a proposed
+    realization, without either naming an implementation. The explorer
+    does not restore: its one base per exploration is a {!clone} of the
+    live speaker taken right after the checkpoint is serialized. *)
 
 val rerealize : instance -> source -> realization
 (** Push a {e new} source through this instance's dialect — what

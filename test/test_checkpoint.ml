@@ -121,7 +121,7 @@ let test_fork_lifecycle () =
   (* the clone mutates one page *)
   let final = Bytes.copy live in
   Bytes.set final 0 '\xEE';
-  let stats = Fork.finish clone ~final_image:final in
+  let stats = Fork.finish clone ~final_parts:[ final ] in
   Alcotest.(check int) "pages" 16 stats.Fork.pages;
   Alcotest.(check int) "one unique" 1 stats.Fork.unique;
   Alcotest.(check int) "no clones left" 0 (Fork.live_clones mgr)
@@ -131,7 +131,7 @@ let test_fork_unchanged_clone () =
   let live = bytes_of 640 Fun.id in
   let cp = Fork.checkpoint mgr ~live_image:live in
   let clone = Fork.spawn cp in
-  let stats = Fork.finish clone ~final_image:live in
+  let stats = Fork.finish clone ~final_parts:[ live ] in
   Alcotest.(check int) "zero unique" 0 stats.Fork.unique;
   Alcotest.(check (float 0.0)) "zero extra" 0.0 stats.Fork.extra_fraction
 
@@ -142,8 +142,7 @@ let test_fork_grown_clone () =
   let clone = Fork.spawn cp in
   (* the clone's image grows (exploration metadata): extra pages counted
      against the checkpoint's page count *)
-  let final = Bytes.cat live (Bytes.make 320 'm') in
-  let stats = Fork.finish clone ~final_image:final in
+  let stats = Fork.finish clone ~final_parts:[ live; Bytes.make 320 'm' ] in
   Alcotest.(check int) "five extra pages" 5 stats.Fork.unique;
   Alcotest.(check (float 1e-9)) "50% extra" 0.5 stats.Fork.extra_fraction
 
@@ -151,10 +150,10 @@ let test_fork_double_finish_rejected () =
   let mgr = Fork.create ~page_size:64 () in
   let cp = Fork.checkpoint mgr ~live_image:(Bytes.make 64 'a') in
   let clone = Fork.spawn cp in
-  ignore (Fork.finish clone ~final_image:(Bytes.make 64 'a'));
+  ignore (Fork.finish clone ~final_parts:[ Bytes.make 64 'a' ]);
   Alcotest.check_raises "double finish"
     (Invalid_argument "Fork.finish: clone already finished") (fun () ->
-      ignore (Fork.finish clone ~final_image:(Bytes.make 64 'a')))
+      ignore (Fork.finish clone ~final_parts:[ Bytes.make 64 'a' ]))
 
 let test_checkpoint_stats_divergence () =
   let mgr = Fork.create ~page_size:64 () in
@@ -243,7 +242,7 @@ let prop_finish_matches_capture =
       let final = List.fold_left (apply live) (Bytes.copy live) patches in
       let mgr = Fork.create ~page_size () in
       let cp = Fork.checkpoint mgr ~live_image:live in
-      let got = Fork.finish (Fork.spawn cp) ~final_image:final in
+      let got = Fork.finish (Fork.spawn cp) ~final_parts:[ final ] in
       let st = Store.create ~page_size () in
       let c = Store.capture st live and f = Store.capture st final in
       let unique = Store.unique_pages f ~relative_to:c in
@@ -256,6 +255,69 @@ let prop_finish_matches_capture =
         }
       in
       got = want)
+
+(* The explorer finishes a clone over its snapshot and its engine
+   metadata without concatenating them: any split of an image into
+   parts must give what the whole image gives. Snapshots are cut to a
+   whole number of pages, emptied or left ragged, trailers run from
+   empty to several pages, and some images are cut at random points
+   into several parts, empty ones included. *)
+let prop_finish_over_parts =
+  let page_size = 32 in
+  let ramp k n = bytes_of n (fun i -> i * k) in
+  let gen =
+    let open QCheck.Gen in
+    let live = map (ramp 13) (int_bound 300) in
+    let snapshot live =
+      let n = Bytes.length live in
+      frequency
+        [ (3, return n);
+          (2, return (n / page_size * page_size));
+          (1, return 0);
+          (2, int_bound n) ]
+      >>= fun len ->
+      map
+        (fun flips ->
+          let b = Bytes.sub live 0 len in
+          List.iter (fun i -> if i < len then Bytes.set b i '\xEE') flips;
+          b)
+        (list_size (int_bound 3) (int_bound 300))
+    in
+    let trailer =
+      frequency
+        [ (2, return 0); (2, int_range 1 (page_size - 1)); (2, int_range page_size 100) ]
+      >|= ramp 7
+    in
+    live >>= fun live ->
+    triple (return live) (pair (snapshot live) trailer)
+      (frequency [ (2, return None); (1, map Option.some (list_size (int_range 1 4) (int_bound 400))) ])
+  in
+  let print (live, (snap, trailer), cuts) =
+    Printf.sprintf "live %d bytes, snapshot %d, trailer %d, cuts [%s]" (Bytes.length live)
+      (Bytes.length snap) (Bytes.length trailer)
+      (match cuts with
+      | None -> "none"
+      | Some l -> String.concat ";" (List.map string_of_int l))
+  in
+  QCheck.Test.make ~name:"Fork.finish over parts \u{2261} Fork.finish of their concatenation"
+    ~count:500 (QCheck.make ~print gen) (fun (live, (snap, trailer), cuts) ->
+      let whole = Bytes.cat snap trailer in
+      let parts =
+        match cuts with
+        | None -> [ snap; trailer ]
+        | Some cuts ->
+          (* [whole] cut at each offset (clamped, so some parts are empty) *)
+          let cuts = List.sort compare (List.map (min (Bytes.length whole)) cuts) in
+          let parts, last =
+            List.fold_left
+              (fun (acc, from) c -> (Bytes.sub whole from (c - from) :: acc, c))
+              ([], 0) cuts
+          in
+          List.rev (Bytes.sub whole last (Bytes.length whole - last) :: parts)
+      in
+      let cp = Fork.checkpoint (Fork.create ~page_size ()) ~live_image:live in
+      Fork.finish (Fork.spawn cp) ~final_parts:parts
+      = Fork.finish (Fork.spawn cp) ~final_parts:[ whole ])
 
 let test_finish_from_two_domains () =
   (* explorer seeds finish clones of one checkpoint on separate
@@ -272,7 +334,7 @@ let test_finish_from_two_domains () =
   let expected =
     let mgr = Fork.create ~page_size () in
     let cp = Fork.checkpoint mgr ~live_image:live in
-    List.map (fun f -> Fork.finish (Fork.spawn cp) ~final_image:f) finals
+    List.map (fun f -> Fork.finish (Fork.spawn cp) ~final_parts:[ f ]) finals
   in
   let mgr = Fork.create ~page_size () in
   let cp = Fork.checkpoint mgr ~live_image:live in
@@ -282,7 +344,7 @@ let test_finish_from_two_domains () =
            (* fresh pages grow the store's table under the readers *)
            let fresh = bytes_of (8 * page_size) (fun j -> (i * 131) + j + offset) in
            let other = Fork.checkpoint mgr ~live_image:fresh in
-           let stats = Fork.finish (Fork.spawn cp) ~final_image:f in
+           let stats = Fork.finish (Fork.spawn cp) ~final_parts:[ f ] in
            Fork.drop_checkpoint other;
            stats)
   in
@@ -313,5 +375,6 @@ let suite =
     ("checkpoint stats divergence", `Quick, test_checkpoint_stats_divergence);
     ("fork finish from two domains", `Quick, test_finish_from_two_domains);
     QCheck_alcotest.to_alcotest prop_capture_restore;
-    QCheck_alcotest.to_alcotest prop_finish_matches_capture
+    QCheck_alcotest.to_alcotest prop_finish_matches_capture;
+    QCheck_alcotest.to_alcotest prop_finish_over_parts
   ]

@@ -368,7 +368,13 @@ let test_orchestrator_clone_stats () =
     List.iter
       (fun (cs : Dice_checkpoint.Fork.clone_stats) ->
         Alcotest.(check bool) "unique pages positive" true (cs.Dice_checkpoint.Fork.unique > 0))
-      sr.Orchestrator.clone_stats
+      sr.Orchestrator.clone_stats;
+    (* the footprint counts the engine metadata after the snapshot *)
+    Alcotest.(check bool) "metadata pages counted" true
+      (List.exists
+         (fun (cs : Dice_checkpoint.Fork.clone_stats) ->
+           cs.Dice_checkpoint.Fork.pages > report.Orchestrator.checkpoint_pages)
+         sr.Orchestrator.clone_stats)
   | _ -> Alcotest.fail "expected one seed report"
 
 let test_orchestrator_whole_message_mode () =
@@ -444,6 +450,151 @@ let test_orchestrator_jobs_deterministic () =
   Alcotest.(check (list string)) "jobs=2 report equals jobs=1" (summary sequential)
     (summary (explore 2))
 
+(* ---- the exploration base: a clone of the live speaker ---- *)
+
+(* The Figure-2 provider as implementation [impl]: both sessions up, the
+   customer's space announced, and a small table from the internet
+   peer. Built the same way every time, so two calls give equal
+   speakers. *)
+let tr_internet_addr = Dice_topology.Topology.Spec.address tr_f2_spec ~of_:"internet" ~toward:"provider"
+
+let customer_route =
+  Route.make ~origin:Attr.Igp
+    ~as_path:[ Asn.Path.Seq [ Dice_topology.Threerouter.customer_as ] ]
+    ~next_hop:tr_customer_addr ()
+
+let announce route prefixes =
+  Msg.Update { Msg.withdrawn = []; attrs = Route.to_attrs route; nlri = prefixes }
+
+let provider_source =
+  Speaker.Config
+    (Dice_topology.Threerouter.provider_config Dice_topology.Threerouter.Partially_correct)
+
+let load_provider sp =
+  Speaker.establish sp ~peer:tr_customer_addr;
+  Speaker.establish sp ~peer:tr_internet_addr;
+  ignore
+    (Speaker.feed sp ~peer:tr_customer_addr
+       (announce customer_route Dice_topology.Threerouter.customer_prefixes));
+  let trace =
+    Dice_trace.Gen.generate
+      { Dice_trace.Gen.default_params with
+        Dice_trace.Gen.seed = 3L;
+        n_prefixes = 400;
+        collector_as = Dice_topology.Threerouter.internet_as;
+        duration = 0.0;
+      }
+  in
+  List.iter
+    (fun m -> ignore (Speaker.feed sp ~peer:tr_internet_addr m))
+    (Dice_trace.Gen.to_updates trace ~peer_as:Dice_topology.Threerouter.internet_as
+       ~next_hop:tr_internet_addr);
+  sp
+
+let provider impl = load_provider (Speakers.create_exn impl provider_source)
+
+(* Explore the customer's prefixes from [live]; everything the report
+   says about the work, the faults and every sampled clone footprint *)
+let explore_summary ~jobs live =
+  let cfg = explore_cfg ~runs:64 () in
+  let cfg =
+    { cfg with Orchestrator.exploration = { cfg.Orchestrator.exploration with Orchestrator.jobs } }
+  in
+  let dice = Orchestrator.create ~cfg live in
+  List.iter
+    (fun prefix -> Orchestrator.observe dice ~peer:tr_customer_addr ~prefix ~route:customer_route)
+    Dice_topology.Threerouter.customer_prefixes;
+  let r = Orchestrator.explore dice in
+  Printf.sprintf "image %d bytes, %d pages" r.Orchestrator.live_image_bytes
+    r.Orchestrator.checkpoint_pages
+  :: List.map Checker.fault_key r.Orchestrator.faults
+  @ List.map
+      (fun (sr : Orchestrator.seed_report) ->
+        let e = sr.Orchestrator.explorer in
+        Printf.sprintf "%s: executions=%d accepted=%d rejected=%d intercepted=%d coverage=%d/%d clones=%s"
+          sr.Orchestrator.seed.Orchestrator.tag e.Explorer.executions sr.Orchestrator.runs_accepted
+          sr.Orchestrator.runs_rejected sr.Orchestrator.intercepted
+          (Coverage.direction_count e.Explorer.coverage)
+          (Coverage.site_count e.Explorer.coverage)
+          (String.concat ","
+             (List.map
+                (fun (cs : Dice_checkpoint.Fork.clone_stats) ->
+                  Printf.sprintf "%d/%d/%h/%h" cs.Dice_checkpoint.Fork.pages
+                    cs.Dice_checkpoint.Fork.unique cs.Dice_checkpoint.Fork.unique_fraction
+                    cs.Dice_checkpoint.Fork.extra_fraction)
+                sr.Orchestrator.clone_stats)))
+      r.Orchestrator.seed_reports
+
+let restored live =
+  Speaker.restore_like live (Speaker.realization live) (Speaker.snapshot live)
+
+(* The base is cloned from the live speaker instead of restored from
+   its image: a never-serialized live speaker must explore exactly as a
+   restore of its snapshot does. *)
+let test_explore_live_matches_restore impl () =
+  List.iter
+    (fun jobs ->
+      let want = explore_summary ~jobs (restored (provider impl)) in
+      Alcotest.(check (list string))
+        (Printf.sprintf "jobs=%d: live = restore" jobs)
+        want
+        (explore_summary ~jobs (provider impl)))
+    [ 1; 2 ]
+
+(* A second round on the same live speaker, after more updates: its
+   serialization patches the image the first round recorded, and its
+   base clones the updated speaker. It must explore as a restore of that
+   state does (the reference snapshot is taken on a clone, which leaves
+   the live speaker's slot map and record as they are). *)
+let test_explore_second_round impl () =
+  let live = provider impl in
+  ignore (explore_summary ~jobs:1 live);
+  let internet_route =
+    Route.make ~origin:Attr.Igp
+      ~as_path:[ Asn.Path.Seq [ Dice_topology.Threerouter.internet_as; 64999 ] ]
+      ~next_hop:tr_internet_addr ()
+  in
+  ignore
+    (Speaker.feed live ~peer:tr_internet_addr
+       (announce internet_route [ p "198.18.0.0/15"; p "198.51.100.0/24"; p "100.64.0.0/10" ]));
+  ignore
+    (Speaker.feed live ~peer:tr_internet_addr
+       (Msg.Update { Msg.withdrawn = [ p "198.18.0.0/15" ]; attrs = []; nlri = [] }));
+  let reference =
+    Speaker.restore_like live (Speaker.realization live) (Speaker.snapshot (Speaker.clone live))
+  in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "jobs=%d: second round = restore" jobs)
+        (explore_summary ~jobs reference) (explore_summary ~jobs live))
+    [ 1; 2 ]
+
+(* A live speaker fed while it is checkpointed: the base would not be
+   the checkpoint's state, and explore says so instead of exploring. *)
+module Fed_while_frozen = struct
+  include Speakers.Bird
+
+  let freeze t =
+    let serialize = freeze t in
+    fun () ->
+      let image = serialize () in
+      ignore
+        (feed t ~peer:tr_internet_addr
+           (announce
+              (Route.make ~origin:Attr.Igp
+                 ~as_path:[ Asn.Path.Seq [ Dice_topology.Threerouter.internet_as ] ]
+                 ~next_hop:tr_internet_addr ())
+              [ p "100.64.0.0/10" ]));
+      image
+end
+
+let test_explore_rejects_moving_live () =
+  let live = load_provider (Speaker.create (module Fed_while_frozen) provider_source) in
+  Alcotest.check_raises "fed between freeze and clone"
+    (Invalid_argument "Orchestrator.explore: the live speaker changed while it was checkpointed")
+    (fun () -> ignore (explore_summary ~jobs:1 live))
+
 let suite =
   [ ("symbolize defaults", `Quick, test_symbolize_defaults);
     ("symbolize seed constraints", `Quick, test_symbolize_seed_constraints);
@@ -472,5 +623,14 @@ let suite =
     ("exploration isolated", `Slow, test_orchestrator_isolation);
     ("clone stats sampled", `Slow, test_orchestrator_clone_stats);
     ("whole-message mode", `Slow, test_orchestrator_whole_message_mode);
-    ("exploration report independent of jobs", `Slow, test_orchestrator_jobs_deterministic)
+    ("exploration report independent of jobs", `Slow, test_orchestrator_jobs_deterministic);
+    ("bird: exploring live = exploring a restore", `Slow, test_explore_live_matches_restore "bird");
+    ("quagga: exploring live = exploring a restore", `Slow,
+     test_explore_live_matches_restore "quagga");
+    ("xorp: exploring live = exploring a restore", `Slow, test_explore_live_matches_restore "xorp");
+    ("bird: second round = exploring a restore", `Slow, test_explore_second_round "bird");
+    ("quagga: second round = exploring a restore", `Slow, test_explore_second_round "quagga");
+    ("xorp: second round = exploring a restore", `Slow, test_explore_second_round "xorp");
+    ("explore rejects a live speaker fed while checkpointed", `Quick,
+     test_explore_rejects_moving_live)
   ]

@@ -71,8 +71,10 @@ let test_null_ctx_concrete () =
   let v = Engine.input ctx ~name:"n" ~width:32 ~default:42L in
   Alcotest.(check bool) "no shadow" false (Cval.is_symbolic v);
   Alcotest.(check int) "default" 42 (Cval.to_int v);
-  ignore (Engine.branchf ctx "t:null-branch" (Cval.of_bool true));
-  Alcotest.(check int) "nothing recorded" 0 (Path.length (Engine.path ctx))
+  Alcotest.(check bool) "branch evaluates" true (Engine.branchf ctx "t:null-branch" (Cval.of_bool true));
+  Alcotest.(check int) "nothing recorded" 0 (Path.length (Engine.path ctx));
+  Alcotest.check_raises "no site interned" Not_found (fun () ->
+      ignore (Path.Site.of_existing "t:null-branch"))
 
 let test_recording_input_default () =
   let space = Engine.Space.create () in

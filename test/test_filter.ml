@@ -335,6 +335,48 @@ let test_exploration_repeatable () =
   Alcotest.(check bool) "explored some branches" true (first <> []);
   Alcotest.(check (list (pair int bool))) "same coverage" first (explore (filter_f ()))
 
+(* ---- branch sites are named only when recorded ---- *)
+
+let named_config =
+  {|
+  router id 10.0.0.1;
+  local as 64510;
+  filter fnamed {
+    if net ~ [ 10.0.0.0/8{8,24}, 192.168.0.0/16+ ] && !(bgp_med > 50 || net.len > 20) then accept;
+    reject;
+  }
+  protocol bgp a { neighbor 10.0.1.2 as 64501; import filter fnamed; export all; }
+  |}
+
+let test_sites_named_when_recording () =
+  let f =
+    match Config_types.find_filter (Config_parser.parse named_config) "fnamed" with
+    | Some f -> f
+    | None -> Alcotest.fail "filter fnamed missing"
+  in
+  let route =
+    Route.make ~origin:Attr.Igp ~as_path:[ Asn.Path.Seq [ 64501 ] ] ~med:(Some 10)
+      ~next_hop:(Ipv4.of_string "10.0.1.2") ()
+  in
+  let run ctx =
+    let cr = Dice_core.Symbolize.croute ctx ~tag:"named" ~prefix:(p "192.168.1.0/24") ~route in
+    Filter_interp.run ctx ~source_as:64501 ~local_as:64510 f cr
+  in
+  (* the live path: a null context evaluates every branch, names none *)
+  let before = Path.Site.count () in
+  Alcotest.(check bool) "null context rejects" true (run (Engine.null ()) = Filter_interp.Rejected);
+  Alcotest.(check int) "no site interned" before (Path.Site.count ());
+  Alcotest.check_raises "no name built" Not_found (fun () ->
+      ignore (Path.Site.of_existing "filter:fnamed:if0:lp1"));
+  (* a recording run names each branch by its place in the condition *)
+  let space = Engine.Space.create () in
+  let ctx = Engine.create ~space ~overrides:(Hashtbl.create 0) () in
+  Alcotest.(check bool) "recording run rejects" true (run ctx = Filter_interp.Rejected);
+  Alcotest.(check (list string)) "recorded site names"
+    [ "filter:fnamed:if0:lp0"; "filter:fnamed:if0:lp1"; "filter:fnamed:if0:rnlc";
+      "filter:fnamed:if0:rnrc" ]
+    (List.map (fun (e : Path.entry) -> Path.Site.name e.Path.site) (Engine.path ctx))
+
 let suite =
   [ ("pattern exact", `Quick, test_pattern_exact);
     ("pattern plus", `Quick, test_pattern_plus);
@@ -363,5 +405,6 @@ let suite =
     ("concolic matches concrete", `Quick, test_interp_concolic_matches_concrete);
     ("pattern concolic agrees", `Quick, test_eval_pattern_concolic_agrees);
     ("parsing a config twice gives the same site names", `Quick, test_sites_repeatable);
+    ("branch sites are named only when recording", `Quick, test_sites_named_when_recording);
     ("exploring a config twice gives the same coverage", `Quick, test_exploration_repeatable)
   ]

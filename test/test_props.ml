@@ -128,6 +128,7 @@ type sched_op =
   | S_notify of int  (* NOTIFICATION: the session drops and the peer is flushed *)
   | S_reopen of int
   | S_snapshot
+  | S_late_snapshot of sched_op  (* freeze, apply the op, then serialize the frozen image *)
   | S_fork  (* continue on clones of the current routers *)
 
 let arb_schedule =
@@ -147,6 +148,7 @@ let arb_schedule =
         (1, map (fun pi -> S_notify pi) (int_bound 1));
         (1, map (fun pi -> S_reopen pi) (int_bound 1));
         (2, return S_snapshot);
+        (1, map (fun a -> S_late_snapshot a) announce);
         (1, return S_fork) ]
   in
   QCheck.make
@@ -173,27 +175,43 @@ let apply_sched router = function
   | S_reopen pi ->
     let peer, remote_as = if pi = 0 then (peer_a, 64501) else (peer_b, 64700) in
     if Router.peer_state router peer <> Some Fsm.Established then establish router peer remote_as
-  | S_snapshot | S_fork -> ()
+  | S_snapshot | S_late_snapshot _ | S_fork -> ()
 
 let prop_incremental_snapshot =
   (* [inc] serializes through its recorded image, [full] re-encodes
-     every entry; both start from one restored router and see the same
-     schedule, so every snapshot must be byte-identical *)
-  QCheck.Test.make ~name:"bird: incremental snapshot \u{2261} full serialize" ~count:150
-    arb_schedule (fun (setup, ops) ->
+     every entry; both start from one router and see the same schedule,
+     so every snapshot must be byte-identical. The router is either
+     restored (it records the image it read) or created and never yet
+     serialized, as a live speaker is (its first snapshot records the
+     image, the later ones patch it) *)
+  QCheck.Test.make ~name:"bird: incremental snapshot \u{2261} full serialize" ~count:200
+    (QCheck.pair QCheck.bool arb_schedule) (fun (from_restore, (setup, ops)) ->
       let live = ready () in
       List.iter (apply_sched live) setup;
-      let image = Router.snapshot live in
-      let restored = Router.restore config image in
-      let inc = ref restored and full = ref (Router.clone restored) in
+      let start, consistent =
+        if from_restore then begin
+          let image = Router.snapshot live in
+          let restored = Router.restore config image in
+          (restored, Bytes.equal image (Router.snapshot restored))
+        end
+        else (live, true)
+      in
+      let inc = ref start and full = ref (Router.clone start) in
       let agree () =
         Bytes.equal (Router.snapshot !inc) (Router.serialize_full (Router.freeze !full))
       in
-      Bytes.equal image (Router.snapshot restored)
+      consistent
       && List.for_all
            (fun op ->
              match op with
              | S_snapshot -> agree ()
+             | S_late_snapshot op ->
+               (* the record must describe the frozen tries, not the
+                  router's later ones *)
+               let frozen_inc = Router.freeze !inc and frozen_full = Router.freeze !full in
+               apply_sched !inc op;
+               apply_sched !full op;
+               Bytes.equal (Router.serialize frozen_inc) (Router.serialize_full frozen_full)
              | S_fork ->
                inc := Router.clone !inc;
                full := Router.clone !full;
